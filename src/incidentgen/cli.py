@@ -483,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # inside the try: --inject terms are parsed during argument parsing
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, _InputFailure) as err:
         print(str(err), file=sys.stderr)
@@ -507,6 +508,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ achieves the goal (directly or through a derivation rule), recursively
 plan its preconditions left to right while threading a simulated
 situation, and append the action. A goal stack blocks circular
 subgoaling and a length bound guarantees termination on any knowledge
-base. Enumeration is exhaustive within the bound; selection maximizes
-(quality, term order), which is deterministic.
+base. Enumeration is exhaustive within the bound; the best plan maximizes
+(quality, term order), which is deterministic. Where shorter plans always
+win, the best-plan search lowers the bound to each plan it finds.
 
 Each plan step records the subgoal it was chosen to achieve and the
 step that needed that subgoal, so a finished plan can be read backwards
@@ -15,7 +16,6 @@ as a justification chain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -123,6 +123,10 @@ SCORERS = {
     # term-order tie-break, which reproduces unranked-plan behaviour
     "constant": lambda plan: 0,
 }
+
+# scorers under which every plan outranks all longer ones (standard
+# charges 10 per action and at most 1 besides)
+_SHORTER_WINS = frozenset({"standard"})
 
 
 def plan_quality(plan: Plan, scorer: str = "standard") -> int:
@@ -322,6 +326,14 @@ def _remove_branches(
 
 
 @dataclass
+class _Search:
+    """Per-search state: the next step id and the current length bound."""
+
+    bound: int
+    next_id: int = 1
+
+
+@dataclass
 class _Rec:
     """Mutable search-time record of one chosen action."""
 
@@ -337,17 +349,18 @@ def _plan(
     sitn: Situation,
     stack: tuple[Term, ...],
     subst: Substitution,
-    budget: int,
+    used: int,
     kb: KnowledgeBase,
-    counter: Iterator[int],
+    search: _Search,
 ) -> Iterator[tuple[list[_Rec], Situation, Substitution]]:
+    # ``used`` counts the plan's steps already chosen outside this subgoal
     # already true: one empty plan per satisfying substitution, and the
     # action case is then blocked entirely
     satisfied_any = False
     for extended in _satisfied_iter(goal, sitn, kb.rules, subst):
         satisfied_any = True
         yield [], sitn, extended
-    if satisfied_any or budget <= 0:
+    if satisfied_any or used >= search.bound:
         return
     # a goal already being pursued further up is a dead end
     for pursued in stack:
@@ -367,12 +380,13 @@ def _plan(
         fresh = fresh_event(event)
         for achieved, via_rule in _achieves_iter(fresh, goal, kb.rules, subst):
             for pre_recs, mid_sitn, mid_subst in _plan_seq(
-                fresh.pcs, sitn, new_stack, achieved, budget - 1, kb, counter
+                fresh.pcs, sitn, new_stack, achieved, used + 1, kb, search
             ):
                 dels = [substitute(d, mid_subst) for d in fresh.dels]
                 for reduced, del_subst in _remove_branches(dels, mid_sitn, mid_subst):
                     adds = frozenset(substitute(a, del_subst) for a in fresh.adds)
-                    this_id = next(counter)
+                    this_id = search.next_id
+                    search.next_id += 1
                     # copy records per branch: the same preconditions
                     # get re-parented under a new consumer in every
                     # alternative, and branches must not share state
@@ -395,18 +409,18 @@ def _plan_seq(
     sitn: Situation,
     stack: tuple[Term, ...],
     subst: Substitution,
-    budget: int,
+    used: int,
     kb: KnowledgeBase,
-    counter: Iterator[int],
+    search: _Search,
 ) -> Iterator[tuple[list[_Rec], Situation, Substitution]]:
     if not goals:
         yield [], sitn, subst
         return
     for recs1, sitn1, subst1 in _plan(
-        goals[0], sitn, stack, subst, budget, kb, counter
+        goals[0], sitn, stack, subst, used, kb, search
     ):
         for recs2, sitn2, subst2 in _plan_seq(
-            goals[1:], sitn1, stack, subst1, budget - len(recs1), kb, counter
+            goals[1:], sitn1, stack, subst1, used + len(recs1), kb, search
         ):
             yield recs1 + recs2, sitn2, subst2
 
@@ -426,6 +440,21 @@ def _finalize(recs: list[_Rec], subst: Substitution) -> Plan:
     return Plan(steps=tuple(by_id[rec.id] for rec in recs))
 
 
+def _plans(
+    goal: Term, sitn: Situation, kb: KnowledgeBase, cfg: PlannerConfig, shrink: bool
+) -> list[Plan]:
+    # distinct plans, each sequence's first derivation; with shrink each
+    # plan lowers the bound to its own length, so ties are still found
+    search = _Search(bound=cfg.max_plan_length)
+    plans: dict[tuple, Plan] = {}
+    for recs, _, subst in _plan(goal, sitn, (), Substitution(), 0, kb, search):
+        plan = _finalize(recs, subst)
+        plans.setdefault(plan_sort_key(plan), plan)
+        if shrink:
+            search.bound = len(plan)
+    return list(plans.values())
+
+
 def enumerate_plans(
     goal: Term,
     sitn: Situation,
@@ -438,20 +467,7 @@ def enumerate_plans(
     choice, term order drives fact matching, and duplicate action
     sequences are dropped keeping the first derivation.
     """
-    cfg = cfg or PlannerConfig()
-    counter = itertools.count(1)
-    plans: list[Plan] = []
-    seen: set[tuple] = set()
-    for recs, _, subst in _plan(
-        goal, sitn, (), Substitution(), cfg.max_plan_length, kb, counter
-    ):
-        plan = _finalize(recs, subst)
-        key = plan_sort_key(plan)
-        if key in seen:
-            continue
-        seen.add(key)
-        plans.append(plan)
-    return plans
+    return _plans(goal, sitn, kb, cfg or PlannerConfig(), shrink=False)
 
 
 def make_best_plan(
@@ -460,9 +476,12 @@ def make_best_plan(
     kb: KnowledgeBase,
     cfg: Optional[PlannerConfig] = None,
 ) -> ScoredPlan:
-    """The enumerated plan maximizing (quality, term order)."""
+    """The enumerated plan maximizing (quality, term order).
+
+    Where shorter plans always win, plans that cannot win are not built.
+    """
     cfg = cfg or PlannerConfig()
-    plans = enumerate_plans(goal, sitn, kb, cfg)
+    plans = _plans(goal, sitn, kb, cfg, shrink=cfg.scorer in _SHORTER_WINS)
     if not plans:
         raise NoPlanFoundError(goal)
     best = max(plans, key=lambda p: (plan_quality(p, cfg.scorer), plan_sort_key(p)))

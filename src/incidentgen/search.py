@@ -2,9 +2,10 @@
 
 Where the backward planner reasons from the goal, these helpers reason
 from the situation: apply every applicable action, score the results,
-and chase the most promising one (best-first). The default scoring
-function delegates back to the planner, rating a situation by how
-short the shortest remaining plan is.
+and chase the most promising one (best-first). Scoring delegates back
+to the planner, rating a situation by the length of its best remaining
+plan, which the planner's bounded search finds without enumerating
+longer ones.
 
 The adversarial loop plays a protagonist against an antagonist with a
 private action repertoire. Turns alternate strictly, protagonist
@@ -27,11 +28,10 @@ from .planner import (
     MissingDeleteFactError,
     NoPlanFoundError,
     Plan,
-    PlannerConfig,
     PlanStep,
     apply_effects,
-    enumerate_plans,
     iter_satisfying,
+    make_best_plan,
 )
 from .simulator import GoalEntry, Trace, apply_event
 from .terms import Term, ground, substitute, term_key
@@ -50,29 +50,18 @@ class StalemateError(Exception):
 
 
 @lru_cache(maxsize=4096)
-def plan_distance(
-    sitn: Situation,
-    goal: Term,
-    kb: KnowledgeBase,
-    max_plan_length: int = 20,
-) -> int:
+def plan_distance(sitn: Situation, goal: Term, kb: KnowledgeBase) -> int:
     """Negated length of the shortest plan from sitn to goal.
 
     0 when the goal already holds, a large negative sentinel when no
-    plan exists within the length bound. Cached: search revisits the
-    same situations constantly, and every argument is immutable.
+    plan exists within the planner's default length bound. Cached:
+    search revisits the same situations constantly, and every argument
+    is immutable.
     """
-    plans = enumerate_plans(
-        goal, sitn, kb, PlannerConfig(max_plan_length=max_plan_length)
-    )
-    if not plans:
+    try:
+        return -len(make_best_plan(goal, sitn, kb).plan)
+    except NoPlanFoundError:
         return _UNREACHABLE
-    return -min(len(p) for p in plans)
-
-
-EVALUATIONS = {
-    "plan_distance": plan_distance,
-}
 
 
 @dataclass(frozen=True)
@@ -81,16 +70,10 @@ class SearchConfig:
     in adversarial_story."""
 
     max_depth: int = 10
-    evaluation: str = "plan_distance"
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.evaluation not in EVALUATIONS:
-            raise ValueError(
-                f"unknown evaluation {self.evaluation!r} "
-                f"(choose from {sorted(EVALUATIONS)})"
-            )
 
 
 def _applicable_actions(
@@ -134,15 +117,14 @@ def forward_search(
 ) -> Plan:
     """Best-first forward search for an action sequence reaching goal.
 
-    The frontier is ordered by the configured evaluation of each
-    situation, ties broken by insertion order, so results are
-    deterministic. Sequences longer than max_depth are not expanded.
+    The frontier is ordered by each situation's plan_distance, ties
+    broken by insertion order, so results are deterministic. Sequences
+    longer than max_depth are not expanded.
     """
     cfg = cfg or SearchConfig()
-    evaluate = EVALUATIONS[cfg.evaluation]
     counter = itertools.count()
     heap: list[tuple[int, int, Situation, tuple[Term, ...]]] = [
-        (-evaluate(sitn, goal, kb), next(counter), sitn, ())
+        (-plan_distance(sitn, goal, kb), next(counter), sitn, ())
     ]
     visited = {sitn}
     while heap:
@@ -160,7 +142,7 @@ def forward_search(
             heapq.heappush(
                 heap,
                 (
-                    -evaluate(post, goal, kb),
+                    -plan_distance(post, goal, kb),
                     next(counter),
                     post,
                     actions + (instance,),
@@ -180,7 +162,7 @@ def adversarial_story(
     The protagonist runs forward_search each turn and plays the first
     action of the found plan (raising NoPlanFoundError if there is
     none); the antagonist plays its applicable action minimizing the
-    protagonist's evaluation, term order breaking ties, or passes.
+    protagonist's plan_distance, term order breaking ties, or passes.
     Antagonist definitions must not collide with the knowledge base's
     own actions. Passes leave no trace step, so the returned trace
     holds actions only; antagonist steps carry no justification.
@@ -197,7 +179,6 @@ def adversarial_story(
         raise ValueError(
             f"antagonist actions collide with the knowledge base's: {', '.join(clash)}"
         )
-    evaluate = EVALUATIONS[cfg.evaluation]
     # matching covers both repertoires; planning and scoring only the hero's
     full_kb = replace(kb, events=(*kb.events, *antagonist_actions))
     antag_kb = replace(kb, events=antagonist_actions)
@@ -229,7 +210,7 @@ def adversarial_story(
                 instance, _ = min(
                     candidates,
                     key=lambda pair: (
-                        evaluate(pair[1], hero_goal, kb),
+                        plan_distance(pair[1], hero_goal, kb),
                         term_key(pair[0]),
                     ),
                 )

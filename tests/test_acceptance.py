@@ -11,11 +11,13 @@ import random
 import subprocess
 import sys
 
+import pytest
 from oracles import backward_plan_set, replay
 
 from incidentgen import (
     Atom,
     ChainLink,
+    NoPlanFoundError,
     Plan,
     PlannerConfig,
     PlanStep,
@@ -34,6 +36,7 @@ from incidentgen import (
     parse_kb,
     parse_term,
     plan_quality,
+    plan_sort_key,
     render_story,
     revise_goal,
     serialize_kb,
@@ -256,6 +259,16 @@ def test_table_mode_opening_draws():
 def test_thousand_random_instances_match_the_oracle(kb):
     for sitn, goal in random_instances(1000):
         plans = enumerate_plans(goal, sitn, kb, PlannerConfig(max_plan_length=8))
+        for scorer in ("standard", "constant"):
+            cfg = PlannerConfig(max_plan_length=8, scorer=scorer)
+            if not plans:
+                with pytest.raises(NoPlanFoundError):
+                    make_best_plan(goal, sitn, kb, cfg)
+                continue
+            # whole-plan equality: the justification chains must match too
+            assert make_best_plan(goal, sitn, kb, cfg).plan == max(
+                plans, key=lambda p: (plan_quality(p, scorer), plan_sort_key(p))
+            ), f"best {scorer} plan differs for goal {format_term(goal)}"
         for plan in plans:
             failure = replay(plan.actions, sitn, goal, kb)
             assert failure is None, (

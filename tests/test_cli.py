@@ -354,6 +354,17 @@ def test_unparseable_goal(run):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("depth", [400, 3000])
+@pytest.mark.parametrize(
+    "argv", [("plan", "--goal", "{}"), ("generate", "--inject", "0:{}")], ids=["goal", "inject"]
+)
+def test_deeply_nested_term_is_bad_input(run, argv, depth):
+    term = "f(" * depth + "x" + ")" * depth
+    code, out, err = run(*(arg.format(term) for arg in argv))
+    assert code == 2 and out == ""
+    assert err == "error: input is nested too deeply\n"
+
+
 def test_bad_injection_syntax_is_an_argparse_error(run, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--inject", "ill_passenger"])

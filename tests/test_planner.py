@@ -278,6 +278,39 @@ def test_best_plan_dominates_enumeration(kb, boarded, fire_on_runway):
         assert best.quality == max(qualities)
 
 
+FOUR_CITIES = ("seattle", "chicago", "dallas", "boston")
+
+
+@pytest.mark.parametrize("scorer", ["standard", "constant"])
+@pytest.mark.parametrize(
+    "paths",
+    [
+        # many detours around the direct flight
+        [(a, b) for a in FOUR_CITIES for b in FOUR_CITIES if a != b],
+        # two equally short routes: the one found second wins on term order
+        [
+            ("seattle", "chicago"),
+            ("chicago", "dallas"),
+            ("seattle", "boston"),
+            ("boston", "dallas"),
+        ],
+    ],
+    ids=["complete", "two_routes"],
+)
+def test_best_plan_on_flight_graphs_is_the_exhaustive_max(kb, scorer, paths):
+    sitn = facts(
+        "airplane(airplane1)",
+        "passengers(passengers1)",
+        "plocation(passengers1, gate(seattle))",
+        "alocation(airplane1, gate(seattle))",
+        *(f"flight_path({a}, {b})" for a, b in paths),
+    )
+    cfg = PlannerConfig(scorer=scorer)
+    plans = enumerate_plans(kb.goal, sitn, kb, cfg)
+    expected = max(plans, key=lambda p: (plan_quality(p, scorer), plan_sort_key(p)))
+    assert make_best_plan(kb.goal, sitn, kb, cfg).plan == expected
+
+
 def test_no_plan_raises(kb):
     from incidentgen import NoPlanFoundError
 

@@ -101,8 +101,6 @@ def test_forward_reaches_sequences_backward_chaining_misses(kb, forward_from_ini
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError, match="evaluation"):
-        SearchConfig(evaluation="mystery")
     with pytest.raises(ValueError, match="max_depth"):
         SearchConfig(max_depth=0)
 
