@@ -5,7 +5,11 @@ explain (why an event happened), validate (knowledge-base checks),
 grammar (story-grammar expansion), forward (forward search, optionally
 adversarial). Stories and results go to stdout, diagnostics to stderr.
 Exit status 0 on success, 1 on a runtime failure such as an
-unachievable goal, 2 on unreadable or invalid input.
+unachievable goal, 2 on unreadable or invalid input. Every failure the
+package raises on purpose is an ``IncidentgenError`` that carries its
+own exit status and stderr text; malformed outside data (bad JSON, an
+unreadable file, an out-of-range option) surfaces as ``OSError`` or
+``ValueError`` and exits 2.
 
 Every generate run embeds a manifest in its JSON output; feeding that
 manifest back through ``generate --replay`` reproduces the run's text
@@ -29,47 +33,22 @@ from .dsl import (
     parse_term,
     validate_kb,
 )
-from .grammar import (
-    DeadEndError,
-    DepthExceededError,
-    UnknownNonterminalError,
-    enumerate_expansions,
-    expand,
-    find_dead_ends,
-    load_grammar,
-)
-from .kb import KnowledgeBase, UnknownEventError, aviation_kb_path, data_path
-from .narrate import (
-    STYLES,
-    UnboundSlotError,
-    explain,
-    format_explanation,
-    render_event,
-    render_story,
-)
+from .grammar import enumerate_expansions, expand, find_dead_ends, load_grammar
+from .kb import KnowledgeBase, aviation_kb_path, data_path
+from .narrate import STYLES, explain, format_explanation, render_event, render_story
 from .planner import (
-    MissingDeleteFactError,
     NoPlanFoundError,
     PlannerConfig,
     enumerate_plans,
     make_best_plan,
     plan_quality,
 )
-from .rng import EmptyListError, RngState
-from .search import SearchConfig, StalemateError, adversarial_story, forward_search
-from .simulator import (
-    InvalidInjectionError,
-    PreconditionViolationError,
-    SimConfig,
-    generate_incident,
-)
-from .terms import Term, format_term, term_key
+from .rng import RngState
+from .search import SearchConfig, adversarial_story, forward_search
+from .simulator import SimConfig, generate_incident
+from .terms import IncidentgenError, Term, format_term, term_key
 
 SEPARATOR = "----------"
-
-
-class _InputFailure(Exception):
-    """Bad input detected past argument parsing; exits with status 2."""
 
 
 @dataclass(frozen=True)
@@ -119,21 +98,21 @@ class RunManifest:
                 version=str(obj["version"]),
             )
         except (KeyError, TypeError, ValueError) as err:
-            raise _InputFailure(f"error: malformed manifest: {err}") from None
+            raise ValueError(f"malformed manifest: {err}") from None
 
 
 def _load_checked(path: str) -> KnowledgeBase:
     kb = load_kb(path)
     errors = [d for d in validate_kb(kb, filename=str(path)) if d.severity == "error"]
     if errors:
-        raise _InputFailure("\n".join(str(d) for d in errors))
+        raise ParseError(errors)
     return kb
 
 
 def _initial_rng(manifest: RunManifest) -> RngState:
     if manifest.mode == "seed":
         if manifest.seed is None:
-            raise _InputFailure("error: manifest mode is 'seed' but seed is null")
+            raise ValueError("manifest mode is 'seed' but seed is null")
         return RngState.seeded(manifest.seed)
     return RngState.table()
 
@@ -238,7 +217,7 @@ def cmd_generate(args) -> int:
         if isinstance(obj, dict) and isinstance(obj.get("manifest"), dict):
             obj = obj["manifest"]
         if not isinstance(obj, dict):
-            raise _InputFailure(f"error: {args.replay} does not contain a manifest")
+            raise ValueError(f"{args.replay} does not contain a manifest")
         manifest = RunManifest.from_json(obj)
         return _emit_generate(manifest, fmt="text")
     return _emit_generate(_manifest_from_args(args, "generate"), fmt=args.format)
@@ -247,10 +226,6 @@ def cmd_generate(args) -> int:
 def cmd_plan(args) -> int:
     kb = _load_checked(args.kb)
     goal = parse_term(args.goal) if args.goal else kb.goal
-    if goal is None:
-        raise _InputFailure(
-            "error: the knowledge base declares no goal; pass --goal TERM"
-        )
     cfg = PlannerConfig(max_plan_length=args.max_length, scorer=args.scorer)
     if args.all:
         plans = enumerate_plans(goal, kb.init, kb, cfg)
@@ -315,10 +290,6 @@ def cmd_grammar(args) -> int:
 def cmd_forward(args) -> int:
     kb = _load_checked(args.kb)
     goal = parse_term(args.goal) if args.goal else kb.goal
-    if goal is None:
-        raise _InputFailure(
-            "error: the knowledge base declares no goal; pass --goal TERM"
-        )
     cfg = SearchConfig(max_depth=args.depth)
     if args.adversary is not None:
         adversary = load_kb(args.adversary, require_init_goal=False)
@@ -487,27 +458,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # inside the try: --inject terms are parsed during argument parsing
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, _InputFailure) as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except (OSError, ValueError, UnknownNonterminalError) as err:
+    except IncidentgenError as err:
+        print(err.report(), file=sys.stderr)
+        return err.exit_status
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (
-        NoPlanFoundError,
-        StalemateError,
-        PreconditionViolationError,
-        InvalidInjectionError,
-        UnknownEventError,
-        UnboundSlotError,
-        MissingDeleteFactError,
-        DeadEndError,
-        DepthExceededError,
-        EmptyListError,
-        IndexError,
-    ) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 2

@@ -50,6 +50,7 @@ from .kb import (
 from .terms import (
     Atom,
     Compound,
+    IncidentgenError,
     Term,
     Variable,
     format_term,
@@ -81,12 +82,18 @@ class Diagnostic:
         return f"{self.file}:{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
-class ParseError(Exception):
+class ParseError(IncidentgenError):
     """Parse failed; ``diagnostics`` holds everything that was found."""
+
+    exit_status = 2
 
     def __init__(self, diagnostics: Sequence[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("\n".join(str(d) for d in self.diagnostics))
+
+    def report(self) -> str:
+        # each diagnostic already reads "file:line:col: severity: message"
+        return str(self)
 
 
 @dataclass(frozen=True)

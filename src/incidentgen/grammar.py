@@ -25,12 +25,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
-from .dsl import Diagnostic, ParseError, _ParseFail, _read_term, _tokenize, _TokenStream
+from .dsl import (
+    Diagnostic,
+    ParseError,
+    _ParseFail,
+    _read_term,
+    _signature,
+    _tokenize,
+    _TokenStream,
+)
 from .kb import SourcePos
 from .rng import RngState, rnd_member
 from .terms import (
-    Atom,
-    Compound,
+    IncidentgenError,
     Substitution,
     Term,
     Variable,
@@ -44,15 +51,17 @@ from .terms import (
 DEFAULT_MAX_DEPTH = 16
 
 
-class UnknownNonterminalError(Exception):
+class UnknownNonterminalError(IncidentgenError):
     """The requested start symbol has no productions at all."""
+
+    exit_status = 2
 
     def __init__(self, symbol: Term):
         self.symbol = symbol
         super().__init__(f"no productions for {format_term(symbol)}")
 
 
-class DeadEndError(Exception):
+class DeadEndError(IncidentgenError):
     """A nonterminal was reached that no production unifies with."""
 
     def __init__(self, symbol: Term):
@@ -60,7 +69,7 @@ class DeadEndError(Exception):
         super().__init__(f"dead end at {format_term(symbol)}: no production unifies")
 
 
-class DepthExceededError(Exception):
+class DepthExceededError(IncidentgenError):
     def __init__(self, symbol: Term, depth: int):
         self.symbol = symbol
         self.depth = depth
@@ -87,14 +96,6 @@ class Production:
     head: Term
     body: tuple[BodyItem, ...]
     pos: Optional[SourcePos] = field(default=None, compare=False)
-
-
-def _signature(term: Term) -> tuple[str, int]:
-    if isinstance(term, Compound):
-        return (term.functor, len(term.args))
-    if isinstance(term, Atom):
-        return (term.name, 0)
-    return ("", -1)  # a bare variable matches no production head
 
 
 @dataclass(frozen=True)

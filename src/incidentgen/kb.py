@@ -14,19 +14,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .terms import Compound, Term, rename_fresh_all, unify
+from .terms import Compound, IncidentgenError, Term, format_term, rename_fresh_all, unify
 
 Situation = frozenset  # of ground Term facts
 
 SourcePos = tuple[int, int]  # line, column; 1-based
 
 
-class UnknownEventError(Exception):
+class UnknownEventError(IncidentgenError):
     """No event definition matches the given event term."""
 
     def __init__(self, event: Term, message: Optional[str] = None):
-        from .terms import format_term
-
         self.event = event
         super().__init__(message or f"no event definition matches {format_term(event)}")
 

@@ -15,12 +15,12 @@ from typing import Optional
 
 from .kb import KnowledgeBase, Literal, UnknownEventError
 from .simulator import Trace
-from .terms import Substitution, Term, format_term
+from .terms import IncidentgenError, Substitution, Term, format_term
 
 STYLES = ("plain", "storybook")
 
 
-class UnboundSlotError(Exception):
+class UnboundSlotError(IncidentgenError):
     """A template slot has no value under the event's bindings."""
 
     def __init__(self, slot: str, event: Term):
@@ -29,6 +29,10 @@ class UnboundSlotError(Exception):
         super().__init__(
             f"template slot {{{slot}}} is unbound for {format_term(event)}"
         )
+
+
+class StepOutOfRangeError(IncidentgenError, IndexError):
+    """Asked to explain a step the trace does not have."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ def explain(trace: Trace, step_index: int) -> Explanation:
     justification) yield a single exogenous link.
     """
     if not 0 <= step_index < len(trace.steps):
-        raise IndexError(
+        raise StepOutOfRangeError(
             f"step index {step_index} out of range (trace has {len(trace.steps)} steps)"
         )
     step = trace.steps[step_index]

@@ -23,9 +23,11 @@ from .kb import DerivationRule, EventDef, KnowledgeBase, Situation, fresh_event,
 from .terms import (
     Atom,
     Compound,
+    IncidentgenError,
     Substitution,
     Term,
     Variable,
+    format_term,
     substitute,
     term_key,
     unify,
@@ -37,27 +39,25 @@ from .terms import (
 _MAX_RULE_DEPTH = 16
 
 
-class NoPlanFoundError(Exception):
+class NoPlanFoundError(IncidentgenError):
     """No plan within the length bound achieves the goal."""
 
     def __init__(self, goal: Term, message: Optional[str] = None):
-        from .terms import format_term
-
         self.goal = goal
         super().__init__(message or f"no plan achieves {format_term(goal)}")
 
 
-class MissingDeleteFactError(Exception):
+class MissingDeleteFactError(IncidentgenError):
     """An effect tried to delete a fact the situation does not contain."""
 
     def __init__(self, fact: Term):
-        from .terms import format_term
-
         self.fact = fact
         super().__init__(f"cannot delete absent fact {format_term(fact)}")
 
 
-class UnknownScorerError(ValueError):
+class UnknownScorerError(IncidentgenError, ValueError):
+    exit_status = 2
+
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"unknown scorer {name!r} (choose from {sorted(SCORERS)})")

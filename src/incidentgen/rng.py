@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence, TypeVar
 
+from .terms import IncidentgenError
+
 T = TypeVar("T")
 
 TABLE: tuple[float, ...] = (
@@ -41,8 +43,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-class EmptyListError(ValueError):
+class EmptyListError(IncidentgenError, ValueError):
     """Asked to pick a random member of an empty list."""
+
+    exit_status = 2
 
 
 @dataclass(frozen=True)

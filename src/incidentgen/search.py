@@ -34,14 +34,14 @@ from .planner import (
     make_best_plan,
 )
 from .simulator import GoalEntry, Trace, apply_event
-from .terms import Term, ground, substitute, term_key
+from .terms import IncidentgenError, Term, ground, substitute, term_key
 
 # score for situations the goal is unreachable from; any reachable
 # situation must rank above it
 _UNREACHABLE = -(10**6)
 
 
-class StalemateError(Exception):
+class StalemateError(IncidentgenError):
     """The adversarial loop hit its turn bound with the goal unmet."""
 
     def __init__(self, turns: int):

@@ -27,10 +27,19 @@ from .planner import (
     make_best_plan,
 )
 from .rng import RngState, maybe, rnd_member
-from .terms import Substitution, Term, format_term, substitute, term_key, unify, variables
+from .terms import (
+    IncidentgenError,
+    Substitution,
+    Term,
+    format_term,
+    substitute,
+    term_key,
+    unify,
+    variables,
+)
 
 
-class PreconditionViolationError(Exception):
+class PreconditionViolationError(IncidentgenError):
     """A plan action's preconditions no longer hold (stale plan)."""
 
     def __init__(self, action: Term, missing: Term, steps: Sequence["TraceStep"] = ()):
@@ -43,7 +52,7 @@ class PreconditionViolationError(Exception):
         )
 
 
-class InvalidInjectionError(Exception):
+class InvalidInjectionError(IncidentgenError):
     """An injection schedule entry names an inapplicable happening."""
 
 

@@ -5,6 +5,10 @@ functor plus argument terms. Everything downstream (knowledge bases,
 planning, simulation) manipulates these values, so determinism starts
 here: ``term_key`` defines one total order used whenever a set of terms
 or plans must be traversed in a reproducible sequence.
+
+``IncidentgenError``, the base of every error the package raises on
+purpose, lives here too: this is the lowest module, the one every
+other module builds on.
 """
 
 from __future__ import annotations
@@ -13,6 +17,21 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional, Union
+
+
+class IncidentgenError(Exception):
+    """Base of every failure the package raises on purpose.
+
+    ``exit_status`` is the command line's exit status for the error:
+    1 for a runtime failure (no plan, a stalemate, a stale plan), 2 for
+    bad input (unparseable text, an unknown name).
+    """
+
+    exit_status = 1
+
+    def report(self) -> str:
+        """The error as the command line prints it to stderr."""
+        return f"error: {self}"
 
 
 @dataclass(frozen=True)
@@ -167,15 +186,6 @@ def term_key(term: Term):
     if isinstance(term, Atom):
         return (1, term.name)
     return (2, len(term.args), term.functor, tuple(term_key(arg) for arg in term.args))
-
-
-def compare_terms(a: Term, b: Term) -> int:
-    ka, kb = term_key(a), term_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def format_term(term: Term) -> str:

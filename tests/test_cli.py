@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from incidentgen import __version__
+import incidentgen
+from incidentgen import IncidentgenError, __version__
 from incidentgen.cli import SEPARATOR, main
 from incidentgen.kb import aviation_kb_path, data_path
 
@@ -365,6 +366,133 @@ def test_deeply_nested_term_is_bad_input(run, argv, depth):
     assert err == "error: input is nested too deeply\n"
 
 
+def _manifest_file(tmp_path, name, **changes):
+    manifest = {
+        "kb_path": str(aviation_kb_path()),
+        "command": "generate",
+        "mode": "table",
+        "seed": None,
+        "prob": 0.3,
+        "max_happenings": 1,
+        "injection_schedule": [],
+        "style": "plain",
+        "count": 1,
+        "version": __version__,
+    }
+    manifest.update(changes)
+    path = tmp_path / name
+    path.write_text(json.dumps({"manifest": manifest}))
+    return path
+
+
+def _replay_fancy_style(tmp_path):
+    path = _manifest_file(tmp_path, "fancy.json", style="fancy")
+    return ["generate", "--replay", str(path)], (
+        "error: unknown style 'fancy' (choose from ('plain', 'storybook'))\n"
+    )
+
+
+def _replay_null_seed(tmp_path):
+    path = _manifest_file(tmp_path, "seedless.json", mode="seed", seed=None)
+    return ["generate", "--replay", str(path)], (
+        "error: manifest mode is 'seed' but seed is null\n"
+    )
+
+
+def _replay_bad_injection(tmp_path):
+    path = _manifest_file(tmp_path, "inject.json", injection_schedule=[[0, "foo("]])
+    return ["generate", "--replay", str(path)], (
+        "<term>:1:5: error: expected a term, got end of input\n"
+    )
+
+
+def _replay_not_json(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("not json")
+    return ["generate", "--replay", str(path)], (
+        "error: Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
+def _replay_list(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    return ["generate", "--replay", str(path)], (
+        f"error: {path} does not contain a manifest\n"
+    )
+
+
+def _replay_directory(tmp_path):
+    return ["generate", "--replay", str(tmp_path)], (
+        f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    )
+
+
+def _kb_not_utf8(tmp_path):
+    path = tmp_path / "latin1.kb"
+    path.write_bytes(b"\xff\xfe init { here; }\n")
+    return ["plan", "--kb", str(path)], (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
+def _prob_out_of_range(tmp_path):
+    return ["generate", "--prob", "1.5"], "error: happening_prob must lie in [0, 1]\n"
+
+
+def _adversary_collides(tmp_path):
+    return ["forward", "--adversary", str(aviation_kb_path())], (
+        "error: antagonist actions collide with the knowledge base's: cruise/3, "
+        "emergency_landing/1, evacuate/1, land/2, load/2, medical_help/1, "
+        "take_off/2, taxi_to_gate/1, taxi_to_runway/1, unload/2\n"
+    )
+
+
+def _plan_kb_without_goal(tmp_path):
+    path = data_path("saboteur.kb")
+    return ["plan", "--kb", str(path)], f"{path}:17:1: error: missing goal declaration\n"
+
+
+def _forward_kb_without_goal(tmp_path):
+    path = data_path("saboteur.kb")
+    return ["forward", "--kb", str(path)], (
+        f"{path}:17:1: error: missing goal declaration\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _prob_out_of_range,
+        _replay_not_json,
+        _replay_list,
+        _replay_directory,
+        _replay_fancy_style,
+        _replay_null_seed,
+        _replay_bad_injection,
+        _kb_not_utf8,
+        _adversary_collides,
+        _plan_kb_without_goal,
+        _forward_kb_without_goal,
+    ],
+    ids=lambda case: case.__name__.lstrip("_"),
+)
+def test_bad_input_exits_2_with_its_message(run, tmp_path, case):
+    argv, expected_err = case(tmp_path)
+    code, out, err = run(*argv)
+    assert (code, out, err) == (2, "", expected_err)
+
+
+def test_a_stray_index_error_is_a_bug_not_a_failure(monkeypatch):
+    def broken(args):
+        return [][0]
+
+    monkeypatch.setattr("incidentgen.cli.cmd_plan", broken)
+    with pytest.raises(IndexError):
+        main(["plan"])
+
+
 def test_bad_injection_syntax_is_an_argparse_error(run, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--inject", "ill_passenger"])
@@ -380,3 +508,37 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ------------------------------------------------------------------- errors
+
+
+def test_every_public_error_carries_its_exit_status():
+    errors = {
+        name: obj
+        for name in incidentgen.__all__
+        if isinstance(obj := getattr(incidentgen, name), type)
+        and issubclass(obj, BaseException)
+    }
+    assert all(issubclass(cls, IncidentgenError) for cls in errors.values())
+    assert {name: cls.exit_status for name, cls in errors.items()} == {
+        "IncidentgenError": 1,
+        "ParseError": 2,
+        "UnknownNonterminalError": 2,
+        "UnknownScorerError": 2,
+        "EmptyListError": 2,
+        "NoPlanFoundError": 1,
+        "StalemateError": 1,
+        "PreconditionViolationError": 1,
+        "InvalidInjectionError": 1,
+        "UnknownEventError": 1,
+        "UnboundSlotError": 1,
+        "MissingDeleteFactError": 1,
+        "DeadEndError": 1,
+        "DepthExceededError": 1,
+        "StepOutOfRangeError": 1,
+    }
+    # the bases callers caught before the hierarchy existed still work
+    assert issubclass(errors["UnknownScorerError"], ValueError)
+    assert issubclass(errors["EmptyListError"], ValueError)
+    assert issubclass(errors["StepOutOfRangeError"], IndexError)

@@ -9,7 +9,6 @@ from incidentgen import (
     Compound,
     Substitution,
     Variable,
-    compare_terms,
     format_term,
     ground,
     occurs_in,
@@ -129,17 +128,6 @@ def test_unify_soundness(a, b):
 @given(terms)
 def test_unify_reflexive(t):
     assert unify(t, t) is not None
-
-
-@given(terms, terms)
-def test_term_key_matches_comparison(a, b):
-    c = compare_terms(a, b)
-    if c < 0:
-        assert term_key(a) < term_key(b)
-    elif c > 0:
-        assert term_key(a) > term_key(b)
-    else:
-        assert term_key(a) == term_key(b)
 
 
 @given(terms, terms, terms)
