@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -67,18 +67,7 @@ class RunManifest:
     version: str
 
     def to_json(self) -> dict:
-        return {
-            "kb_path": self.kb_path,
-            "command": self.command,
-            "mode": self.mode,
-            "seed": self.seed,
-            "prob": self.prob,
-            "max_happenings": self.max_happenings,
-            "injection_schedule": [[i, e] for i, e in self.injection_schedule],
-            "style": self.style,
-            "count": self.count,
-            "version": self.version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunManifest":
@@ -255,7 +244,10 @@ def cmd_explain(args) -> int:
 
 def cmd_validate(args) -> int:
     text = Path(args.kb).read_text()
-    kb, diags = parse_kb_with_diagnostics(text, filename=args.kb)
+    # adversary knowledge bases have no goal and may have no init facts
+    kb, diags = parse_kb_with_diagnostics(
+        text, filename=args.kb, require_init_goal=False
+    )
     if kb is not None:
         diags = diags + validate_kb(kb, filename=args.kb)
     for d in diags:
@@ -467,6 +459,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

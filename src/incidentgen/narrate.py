@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .kb import KnowledgeBase, Literal, UnknownEventError
+from .kb import KnowledgeBase, UnknownEventError
 from .simulator import Trace
 from .terms import IncidentgenError, Substitution, Term, format_term
 
@@ -80,15 +80,10 @@ def render_event(
     if bindings is not None:
         for var, value in bindings.items():
             values.setdefault(var.name, format_term(value))
-    parts: list[str] = []
-    for segment in event_def.template.segments:
-        if isinstance(segment, Literal):
-            parts.append(segment.text)
-        elif segment.var in values:
-            parts.append(values[segment.var])
-        else:
-            raise UnboundSlotError(segment.var, event)
-    return "".join(parts)
+    try:
+        return event_def.template.render(values)
+    except KeyError as err:
+        raise UnboundSlotError(err.args[0], event) from None
 
 
 def render_story(trace: Trace, kb: KnowledgeBase, style: str = "plain") -> str:

@@ -9,6 +9,12 @@ base. Enumeration is exhaustive within the bound; the best plan maximizes
 (quality, term order), which is deterministic. Where shorter plans always
 win, the best-plan search lowers the bound to each plan it finds.
 
+The search asks three questions of the world: does a fact hold (by
+membership or through a rule, ``iter_satisfying``), which additions of
+an action reach the goal, and which facts its delete patterns remove.
+The last two pair patterns with distinct facts through one matcher, and
+each way of pairing them is a separate branch.
+
 Each plan step records the subgoal it was chosen to achieve and the
 step that needed that subgoal, so a finished plan can be read backwards
 as a justification chain.
@@ -31,7 +37,6 @@ from .terms import (
     substitute,
     term_key,
     unify,
-    variables,
 )
 
 # rule chains deeper than this are treated as unprovable rather than
@@ -124,11 +129,6 @@ SCORERS = {
     "constant": lambda plan: 0,
 }
 
-# scorers under which every plan outranks all longer ones (standard
-# charges 10 per action and at most 1 besides)
-_SHORTER_WINS = frozenset({"standard"})
-
-
 def plan_quality(plan: Plan, scorer: str = "standard") -> int:
     try:
         fn = SCORERS[scorer]
@@ -201,60 +201,32 @@ def iter_satisfying(
 ) -> Iterator[Substitution]:
     """Substitutions satisfying every fact in sequence, lazily.
 
-    Unlike :func:`satisfied` the results are full working substitutions,
-    not projections; the simulator threads them into effect application.
+    A fact holds by direct membership or through a derivation rule
+    whose body is recursively satisfied. The results are full working
+    substitutions; the simulator threads them into effect application.
     """
     yield from _satisfied_seq(
         tuple(facts), sitn, rules, subst or Substitution(), _MAX_RULE_DEPTH
     )
 
 
-def _project(base: Term, solutions: Iterator[Substitution]) -> list[Substitution]:
-    """Restrict solutions to the query's own variables, deduplicated."""
-    vs = variables(base)
-    out: list[Substitution] = []
-    seen: set[tuple] = set()
-    for s in solutions:
-        image = tuple(term_key(substitute(v, s)) for v in vs)
-        if image in seen:
-            continue
-        seen.add(image)
-        restricted = Substitution()
-        for v in vs:
-            value = substitute(v, s)
-            if value != v:
-                restricted = restricted.bind(v, value)
-        out.append(restricted)
-    return out
-
-
-def satisfied(
-    fact: Term, sitn: Situation, rules: Sequence[DerivationRule] = ()
-) -> list[Substitution]:
-    """All substitutions under which fact holds in the situation.
-
-    A fact holds by direct membership or through a derivation rule
-    whose body is recursively satisfied. Empty list means unsatisfied;
-    a ground satisfied query yields one empty substitution.
-    """
-    return _project(fact, _satisfied_iter(fact, sitn, rules, Substitution()))
+def _match_distinct(
+    patterns: Sequence[Term], pool: Sequence[Term], subst: Substitution
+) -> Iterator[tuple[Substitution, Sequence[Term]]]:
+    # each pattern unifies with a distinct pool member, tried in pool
+    # order; every pairing is a separate solution, which comes with the
+    # pool members left unpaired
+    if not patterns:
+        yield subst, pool
+        return
+    for i, candidate in enumerate(pool):
+        extended = unify(patterns[0], candidate, subst)
+        if extended is not None:
+            rest = (*pool[:i], *pool[i + 1 :])
+            yield from _match_distinct(patterns[1:], rest, extended)
 
 
 # ----------------------------------------------------------------- achieves
-
-
-def _subset_iter(
-    facts: Sequence[Term], pool: Sequence[Term], subst: Substitution
-) -> Iterator[Substitution]:
-    # each fact unifies with a distinct pool member; all pairings tried
-    if not facts:
-        yield subst
-        return
-    for i, candidate in enumerate(pool):
-        extended = unify(facts[0], candidate, subst)
-        if extended is not None:
-            rest = tuple(pool[:i]) + tuple(pool[i + 1 :])
-            yield from _subset_iter(facts[1:], rest, extended)
 
 
 def _achieves_iter(
@@ -263,6 +235,8 @@ def _achieves_iter(
     rules: Sequence[DerivationRule],
     subst: Substitution,
 ) -> Iterator[tuple[Substitution, Optional[DerivationRule]]]:
+    # either the goal unifies with an add-list member, or a rule's head
+    # unifies with the goal and its body with distinct add-list members
     for add in event.adds:
         extended = unify(goal, add, subst)
         if extended is not None:
@@ -275,24 +249,8 @@ def _achieves_iter(
         extended = unify(goal, fresh.head, subst)
         if extended is None:
             continue
-        for solution in _subset_iter(fresh.body, event.adds, extended):
+        for solution, _ in _match_distinct(fresh.body, event.adds, extended):
             yield solution, rule
-
-
-def achieves(
-    event: EventDef, goal: Term, rules: Sequence[DerivationRule] = ()
-) -> list[Substitution]:
-    """Substitutions under which the event's additions reach the goal.
-
-    Either the goal unifies with an add-list member, or a derivation
-    rule's head unifies with the goal and its body unifies element-wise
-    with distinct add-list members. Pass a freshly renamed event when
-    the goal could share variable names with the definition.
-    """
-    base = Compound("+", (goal, event.head, *event.adds, *event.pcs))
-    return _project(
-        base, (s for s, _ in _achieves_iter(event, goal, rules, Substitution()))
-    )
 
 
 # ------------------------------------------------------------------ effects
@@ -306,20 +264,6 @@ def apply_effects(
         if fact not in sitn:
             raise MissingDeleteFactError(fact)
     return frozenset(sitn - frozenset(dels)) | frozenset(adds)
-
-
-def _remove_branches(
-    dels: Sequence[Term], sitn: Situation, subst: Substitution
-) -> Iterator[tuple[Situation, Substitution]]:
-    # search-time deletion: delete patterns unify against situation
-    # facts, and each way of pairing them up is a separate branch
-    if not dels:
-        yield sitn, subst
-        return
-    for fact in sorted(sitn, key=term_key):
-        extended = unify(dels[0], fact, subst)
-        if extended is not None:
-            yield from _remove_branches(dels[1:], sitn - {fact}, extended)
 
 
 # ----------------------------------------------------------------- planning
@@ -382,8 +326,11 @@ def _plan(
             for pre_recs, mid_sitn, mid_subst in _plan_seq(
                 fresh.pcs, sitn, new_stack, achieved, used + 1, kb, search
             ):
+                # delete patterns unify against situation facts, and each
+                # way of pairing them up is a separate branch
                 dels = [substitute(d, mid_subst) for d in fresh.dels]
-                for reduced, del_subst in _remove_branches(dels, mid_sitn, mid_subst):
+                facts = sorted(mid_sitn, key=term_key)
+                for del_subst, kept in _match_distinct(dels, facts, mid_subst):
                     adds = frozenset(substitute(a, del_subst) for a in fresh.adds)
                     this_id = search.next_id
                     search.next_id += 1
@@ -401,7 +348,7 @@ def _plan(
                         for r in pre_recs
                     ]
                     recs.append(_Rec(this_id, fresh.head, goal, via_rule, None))
-                    yield recs, reduced | adds, del_subst
+                    yield recs, frozenset(kept) | adds, del_subst
 
 
 def _plan_seq(
@@ -481,7 +428,9 @@ def make_best_plan(
     Where shorter plans always win, plans that cannot win are not built.
     """
     cfg = cfg or PlannerConfig()
-    plans = _plans(goal, sitn, kb, cfg, shrink=cfg.scorer in _SHORTER_WINS)
+    # under standard every plan outranks all longer ones (it charges 10
+    # per action and at most 1 besides), so the search may shrink its bound
+    plans = _plans(goal, sitn, kb, cfg, shrink=cfg.scorer == "standard")
     if not plans:
         raise NoPlanFoundError(goal)
     best = max(plans, key=lambda p: (plan_quality(p, cfg.scorer), plan_sort_key(p)))

@@ -115,9 +115,6 @@ class Substitution(Mapping[Variable, Term]):
             term = self._map[term]
         return term
 
-    def resolve(self, term: Term) -> Term:
-        return substitute(term, self)
-
 
 def occurs_in(var: Variable, term: Term, subst: Substitution) -> bool:
     term = subst.walk(term)

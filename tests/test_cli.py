@@ -257,6 +257,24 @@ def test_validate_broken_kb(run, tmp_path):
     assert "uninstantiated add" in err
 
 
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in aviation_kb_path().parent.glob("*.kb"))
+)
+def test_every_bundled_kb_validates(run, name):
+    path = data_path(name)
+    code, out, err = run("validate", "--kb", str(path))
+    assert code == 0
+    if name == "saboteur.kb":
+        # an adversary knowledge base has no goal of its own
+        assert out == (
+            "ok: 1 actions, 0 happenings, 0 rules, 0 revisions, 1 init facts, no goal\n"
+        )
+        assert err == (
+            f"{path}:7:1: warning: action sabotage/1 adds nothing any goal, "
+            "rule, or precondition can use\n"
+        )
+
+
 # ------------------------------------------------------------------ grammar
 
 
@@ -491,6 +509,14 @@ def test_a_stray_index_error_is_a_bug_not_a_failure(monkeypatch):
     monkeypatch.setattr("incidentgen.cli.cmd_plan", broken)
     with pytest.raises(IndexError):
         main(["plan"])
+
+
+def test_running_out_of_memory_is_a_runtime_failure(run, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("incidentgen.cli.cmd_plan", exhausted)
+    assert run("plan") == (1, "", "error: out of memory\n")
 
 
 def test_bad_injection_syntax_is_an_argparse_error(run, capsys):

@@ -70,7 +70,9 @@ goal delivered(box1).
     step = trace.steps[0]
     assert render_event(step.event, courier, step.bindings) == "robot delivered box1."
     # the template needs the execution-time bindings; without them it fails
-    with pytest.raises(UnboundSlotError, match="Parcel"):
+    with pytest.raises(
+        UnboundSlotError, match=r"^template slot \{Parcel\} is unbound for deliver\(robot\)$"
+    ):
         render_event(step.event, courier)
 
 

@@ -19,9 +19,9 @@ from incidentgen import (
     parse_term,
     plan_quality,
     plan_sort_key,
-    satisfied,
     substitute,
 )
+from incidentgen.planner import _achieves_iter
 from conftest import facts
 
 NOMINAL = tuple(
@@ -52,17 +52,17 @@ def names(actions):
 
 def test_satisfied_by_direct_membership():
     fact = parse_term("alocation(airplane1, gate(seattle))")
-    assert satisfied(fact, frozenset({fact})) == [Substitution()]
+    assert list(iter_satisfying([fact], frozenset({fact}))) == [Substitution()]
 
 
 def test_satisfied_through_derivation_rule(kb, fire_on_runway):
-    assert satisfied(parse_term("a_on_ground(airplane1)"), fire_on_runway, kb.rules) == [
-        Substitution()
-    ]
+    goal = parse_term("a_on_ground(airplane1)")
+    assert goal not in fire_on_runway
+    assert len(list(iter_satisfying([goal], fire_on_runway, kb.rules))) == 1
 
 
 def test_unsatisfied_returns_empty(kb):
-    assert satisfied(parse_term("on_fire(engine)"), kb.init, kb.rules) == []
+    assert list(iter_satisfying([parse_term("on_fire(engine)")], kb.init, kb.rules)) == []
 
 
 def test_iter_satisfying_yields_bindings(kb):
@@ -89,21 +89,21 @@ def test_iter_satisfying_threads_bindings_across_facts(kb):
 # -------------------------------------------------------------- achievement
 
 
-def test_achieves_via_add_list_binding(kb):
-    from incidentgen import achieves
+def achieving(event, goal, rules=()):
+    return [s for s, _ in _achieves_iter(event, goal, rules, Substitution())]
 
+
+def test_achieves_via_add_list_binding(kb):
     unload = next(e for e in kb.actions if e.name == "unload")
-    subs = achieves(unload, parse_term("plocation(passengers1, gate(dallas))"))
+    subs = achieving(unload, parse_term("plocation(passengers1, gate(dallas))"))
     assert len(subs) == 1
     assert substitute(Variable("Passengers"), subs[0]) == parse_term("passengers1")
     assert substitute(Variable("Airport"), subs[0]) == parse_term("dallas")
 
 
 def test_achieves_through_rule_per_location_kind(kb):
-    from incidentgen import achieves
-
     evacuate = next(e for e in kb.actions if e.name == "evacuate")
-    subs = achieves(evacuate, parse_term("p_on_ground(passengers1)"), kb.rules)
+    subs = achieving(evacuate, parse_term("p_on_ground(passengers1)"), kb.rules)
     shapes = sorted(
         substitute(Variable("Loc"), s).functor for s in subs
     )
@@ -114,10 +114,8 @@ def test_achieves_through_rule_per_location_kind(kb):
 
 
 def test_achieves_nothing_when_adds_are_unrelated(kb):
-    from incidentgen import achieves
-
     take_off = next(e for e in kb.actions if e.name == "take_off")
-    assert achieves(take_off, parse_term("medical_help(passengers1)"), kb.rules) == []
+    assert achieving(take_off, parse_term("medical_help(passengers1)"), kb.rules) == []
 
 
 # ------------------------------------------------------------------ effects
@@ -226,6 +224,22 @@ goal token(next(next(zero))).
 """
     )
     assert enumerate_plans(looping.goal, looping.init, looping) == []
+
+
+def test_each_way_of_matching_a_delete_is_its_own_plan():
+    dropper = parse_kb(
+        """
+action drop(X) { pre: holding; del: item(X); add: dropped; text: "Dropped {X}."; }
+init { holding; item(a); item(b); }
+goal dropped.
+"""
+    )
+    plans = enumerate_plans(dropper.goal, dropper.init, dropper)
+    expected = [(parse_term("drop(a)"),), (parse_term("drop(b)"),)]
+    assert action_lists(plans) == expected
+    assert set(expected) == backward_plan_set(dropper.goal, dropper.init, dropper, 20)
+    best = make_best_plan(dropper.goal, dropper.init, dropper)
+    assert best.plan.actions == (parse_term("drop(b)"),)
 
 
 # ---------------------------------------------------------------- selection
