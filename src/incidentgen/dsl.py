@@ -469,16 +469,16 @@ def parse_kb_with_diagnostics(
     tokens = _tokenize(text, filename, diags)
     parser = _KbParser(_TokenStream(tokens, filename), diags)
     parser.parse()
-    if require_init_goal:
-        eof = tokens[-1]
-        if parser.goal is None:
-            diags.append(
-                Diagnostic(filename, eof.line, eof.col, "error", "missing goal declaration")
-            )
-        if not parser.init_facts:
-            diags.append(
-                Diagnostic(filename, eof.line, eof.col, "error", "missing or empty init block")
-            )
+    # a goal is planned from the init facts, so declaring one needs them
+    eof = tokens[-1]
+    if require_init_goal and parser.goal is None:
+        diags.append(
+            Diagnostic(filename, eof.line, eof.col, "error", "missing goal declaration")
+        )
+    if (require_init_goal or parser.goal is not None) and not parser.init_facts:
+        diags.append(
+            Diagnostic(filename, eof.line, eof.col, "error", "missing or empty init block")
+        )
     if any(d.severity == "error" for d in diags):
         return None, diags
     kb = KnowledgeBase(

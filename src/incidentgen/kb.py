@@ -11,10 +11,19 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .terms import Compound, IncidentgenError, Term, format_term, rename_fresh_all, unify
+from .terms import (
+    Compound,
+    IncidentgenError,
+    Term,
+    count_variables,
+    format_term,
+    rename_fresh_all,
+    unify,
+)
 
 Situation = frozenset  # of ground Term facts
 
@@ -107,6 +116,11 @@ class EventDef:
     def arity(self) -> int:
         return len(self.head.args) if isinstance(self.head, Compound) else 0
 
+    @cached_property
+    def fresh_width(self) -> int:
+        """Fresh names ``fresh_event`` takes, counted once per clause."""
+        return count_variables((self.head, *self.pcs, *self.dels, *self.adds))
+
 
 @dataclass(frozen=True)
 class DerivationRule:
@@ -115,6 +129,11 @@ class DerivationRule:
     head: Term
     body: tuple[Term, ...]
     pos: Optional[SourcePos] = field(default=None, compare=False)
+
+    @cached_property
+    def fresh_width(self) -> int:
+        """Fresh names ``fresh_rule`` takes, counted once per clause."""
+        return count_variables((self.head, *self.body))
 
 
 @dataclass(frozen=True)
@@ -125,6 +144,11 @@ class RevisionRule:
     trigger: Term
     new: Term
     pos: Optional[SourcePos] = field(default=None, compare=False)
+
+    @cached_property
+    def fresh_width(self) -> int:
+        """Fresh names ``fresh_revision`` takes, counted once per clause."""
+        return count_variables((self.old, self.trigger, self.new))
 
 
 @dataclass(frozen=True)

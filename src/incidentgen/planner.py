@@ -15,6 +15,16 @@ an action reach the goal, and which facts its delete patterns remove.
 The last two pair patterns with distinct facts through one matcher, and
 each way of pairing them is a separate branch.
 
+Work that cannot succeed is skipped. A clause (action or rule) is
+renamed apart only if a deep screen finds that it may unify with the
+goal, and each situation is sorted into term order and grouped by
+signature (an atom's name, a compound's functor and arity) once, so a
+goal is tried only against facts of its own signature. Fresh variable
+names are visible output: a clause whose root matches the goal but
+which the screen skips still takes its block of names, so every name,
+and every tie-break by term order, is the same as if it had been
+renamed.
+
 Each plan step records the subgoal it was chosen to achieve and the
 step that needed that subgoal, so a finished plan can be read backwards
 as a justification chain.
@@ -23,6 +33,7 @@ as a justification chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .kb import DerivationRule, EventDef, KnowledgeBase, Situation, fresh_event, fresh_rule
@@ -34,6 +45,7 @@ from .terms import (
     Term,
     Variable,
     format_term,
+    reserve_fresh,
     substitute,
     term_key,
     unify,
@@ -144,16 +156,90 @@ def plan_sort_key(plan: Plan) -> tuple:
 # ---------------------------------------------------------------- satisfied
 
 
-def _may_unify(a: Term, b: Term) -> bool:
-    # shallow screen before paying for a fresh rename: terms whose
-    # outermost shapes already clash can never unify
-    if isinstance(a, Variable) or isinstance(b, Variable):
+def _same_root(seen: Term, raw: Term) -> bool:
+    # roots that do not clash. A clause that passes this test takes its
+    # block of fresh names whether or not the deep screen lets it be
+    # renamed, so the names, which are visible output, do not depend on
+    # how deep the screen looks
+    if isinstance(seen, Variable) or isinstance(raw, Variable):
         return True
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return a.name == b.name
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        return a.functor == b.functor and len(a.args) == len(b.args)
-    return False
+    if isinstance(seen, Compound):
+        return (
+            isinstance(raw, Compound)
+            and seen.functor == raw.functor
+            and len(seen.args) == len(raw.args)
+        )
+    return isinstance(raw, Atom) and seen.name == raw.name
+
+
+def _may_unify(goal: Term, raw: Term, subst: Substitution) -> bool:
+    # deep screen before paying for a fresh rename: ``raw`` is a clause
+    # term not yet renamed apart, so its variables match anything, and
+    # the goal side is walked through ``subst``. False means that no
+    # renaming of ``raw`` unifies with the goal
+    if isinstance(raw, Variable):
+        return True
+    goal = subst.walk(goal)
+    if isinstance(goal, Variable):
+        return True
+    if isinstance(goal, Atom):
+        return isinstance(raw, Atom) and goal.name == raw.name
+    if not (
+        isinstance(raw, Compound)
+        and goal.functor == raw.functor
+        and len(goal.args) == len(raw.args)
+    ):
+        return False
+    for g, r in zip(goal.args, raw.args):
+        if not _may_unify(g, r, subst):
+            return False
+    return True
+
+
+def _renamed_rules(
+    seen: Term, rules: Sequence[DerivationRule], subst: Substitution
+) -> Iterator[tuple[DerivationRule, DerivationRule]]:
+    # each rule whose head may unify with the walked goal, renamed apart;
+    # one whose root matches but whose head cannot unify only takes its
+    # block of names
+    for rule in rules:
+        if _same_root(seen, rule.head):
+            if _may_unify(seen, rule.head, subst):
+                yield rule, fresh_rule(rule)
+            else:
+                reserve_fresh(rule.fresh_width)
+
+
+def _signature(term: Term):
+    # (functor, arity) of a compound, the name of an atom, None for a
+    # variable: two terms whose signatures differ cannot unify
+    if isinstance(term, Compound):
+        return term.functor, len(term.args)
+    return term.name if isinstance(term, Atom) else None
+
+
+@lru_cache(maxsize=128)
+def _indexed(sitn: Situation) -> tuple[tuple[Term, ...], dict, tuple[Term, ...]]:
+    # the situation in term order, once, and the same order split by
+    # signature; variable facts sort first and may match any goal, so
+    # they head every group
+    facts = tuple(sorted(sitn, key=term_key))
+    groups: dict = {}
+    loose: list[Term] = []
+    for fact in facts:
+        sig = _signature(fact)
+        if sig is None:
+            loose.append(fact)
+        else:
+            groups.setdefault(sig, list(loose)).append(fact)
+    return facts, groups, tuple(loose)
+
+
+def _facts_matching(seen: Term, sitn: Situation) -> Sequence[Term]:
+    # the facts that may unify with a walked goal, in term order
+    facts, groups, loose = _indexed(sitn)
+    sig = _signature(seen)
+    return facts if sig is None else groups.get(sig, loose)
 
 
 def _satisfied_iter(
@@ -163,17 +249,14 @@ def _satisfied_iter(
     subst: Substitution,
     depth: int = _MAX_RULE_DEPTH,
 ) -> Iterator[Substitution]:
-    for fact in sorted(sitn, key=term_key):
+    seen = subst.walk(goal)
+    for fact in _facts_matching(seen, sitn):
         extended = unify(goal, fact, subst)
         if extended is not None:
             yield extended
     if depth <= 0:
         return
-    seen = subst.walk(goal)
-    for rule in rules:
-        if not _may_unify(seen, rule.head):
-            continue
-        fresh = fresh_rule(rule)
+    for _, fresh in _renamed_rules(seen, rules, subst):
         extended = unify(goal, fresh.head, subst)
         if extended is not None:
             yield from _satisfied_seq(fresh.body, sitn, rules, extended, depth - 1)
@@ -205,8 +288,9 @@ def iter_satisfying(
     whose body is recursively satisfied. The results are full working
     substitutions; the simulator threads them into effect application.
     """
+    # the situation index is keyed by the (hashable) situation itself
     yield from _satisfied_seq(
-        tuple(facts), sitn, rules, subst or Substitution(), _MAX_RULE_DEPTH
+        tuple(facts), frozenset(sitn), rules, subst or Substitution(), _MAX_RULE_DEPTH
     )
 
 
@@ -241,11 +325,7 @@ def _achieves_iter(
         extended = unify(goal, add, subst)
         if extended is not None:
             yield extended, None
-    seen = subst.walk(goal)
-    for rule in rules:
-        if not _may_unify(seen, rule.head):
-            continue
-        fresh = fresh_rule(rule)
+    for rule, fresh in _renamed_rules(subst.walk(goal), rules, subst):
         extended = unify(goal, fresh.head, subst)
         if extended is None:
             continue
@@ -313,13 +393,17 @@ def _plan(
     new_stack = (goal, *stack)
     seen = subst.walk(goal)
     # renaming an action's variables is the hot path; skip any action
-    # whose add list cannot possibly reach the goal, directly or via a
-    # rule head (roots survive renaming, so the raw lists are enough)
-    via_rule_possible = any(_may_unify(seen, r.head) for r in kb.rules)
+    # whose add list cannot reach the goal, directly or via a rule head.
+    # If an add or a rule head shares the goal's root, a skipped action
+    # still takes the names that renaming it and those rules would take
+    rooted = [r for r in kb.rules if _same_root(seen, r.head)]
+    by_rule = any(_may_unify(seen, r.head, subst) for r in rooted)
+    rooted_width = sum(r.fresh_width for r in rooted)
     for event in kb.actions:
-        if not via_rule_possible and not any(
-            _may_unify(seen, a) for a in event.adds
-        ):
+        roots = [a for a in event.adds if _same_root(seen, a)]
+        if not by_rule and not any(_may_unify(seen, a, subst) for a in roots):
+            if rooted or roots:
+                reserve_fresh(event.fresh_width + rooted_width)
             continue
         fresh = fresh_event(event)
         for achieved, via_rule in _achieves_iter(fresh, goal, kb.rules, subst):
@@ -329,7 +413,7 @@ def _plan(
                 # delete patterns unify against situation facts, and each
                 # way of pairing them up is a separate branch
                 dels = [substitute(d, mid_subst) for d in fresh.dels]
-                facts = sorted(mid_sitn, key=term_key)
+                facts = _indexed(mid_sitn)[0]
                 for del_subst, kept in _match_distinct(dels, facts, mid_subst):
                     adds = frozenset(substitute(a, del_subst) for a in fresh.adds)
                     this_id = search.next_id

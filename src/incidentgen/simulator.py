@@ -22,6 +22,7 @@ from .planner import (
     PlannerConfig,
     PlanStep,
     ScoredPlan,
+    _may_unify,
     apply_effects,
     iter_satisfying,
     make_best_plan,
@@ -32,6 +33,7 @@ from .terms import (
     Substitution,
     Term,
     format_term,
+    reserve_fresh,
     substitute,
     term_key,
     unify,
@@ -139,6 +141,11 @@ def revise_goal(
     unchanged with None.
     """
     for rule in kb.revisions:
+        # a pattern that cannot match the goal is not renamed, but its
+        # block of fresh names is still taken, so later names hold
+        if not _may_unify(goal, rule.old, Substitution()):
+            reserve_fresh(rule.fresh_width)
+            continue
         fresh = fresh_revision(rule)
         bound = unify(fresh.old, goal)
         if bound is None:

@@ -107,12 +107,18 @@ class Substitution(Mapping[Variable, Term]):
 
     def walk(self, term: Term) -> Term:
         """Chase variable bindings at the top level only."""
-        seen = set()
-        while isinstance(term, Variable) and term in self._map:
-            if term in seen:  # defensive; bind() never creates cycles
+        seen = None
+        while isinstance(term, Variable):
+            value = self._map.get(term)
+            if value is None:
                 break
-            seen.add(term)
-            term = self._map[term]
+            if seen is None:
+                seen = {term}
+            elif term in seen:  # defensive; bind() never creates cycles
+                break
+            else:
+                seen.add(term)
+            term = value
         return term
 
 
@@ -221,6 +227,18 @@ def variables(term: Term) -> list[Variable]:
 _fresh_counter = itertools.count(1)
 
 
+def reserve_fresh(count: int) -> None:
+    """Use up the next ``count`` fresh names without making any term.
+
+    Fresh names are visible output, so a caller that skips renaming a
+    clause reserves the clause's block of names in its place (the WAM's
+    offset per call): every later name is the one it would have been.
+    """
+    global _fresh_counter
+    if count:
+        _fresh_counter = itertools.count(next(_fresh_counter) + count)
+
+
 def _rename(term: Term, mapping: dict[Variable, Variable]) -> Term:
     if isinstance(term, Variable):
         if term not in mapping:
@@ -248,3 +266,9 @@ def rename_fresh_all(terms: Iterable[Term]) -> list[Term]:
     """
     mapping: dict[Variable, Variable] = {}
     return [_rename(t, mapping) for t in terms]
+
+
+def count_variables(terms: Iterable[Term]) -> int:
+    """Distinct variables across several terms: the fresh names that
+    ``rename_fresh_all`` takes for them."""
+    return len({v for t in terms for v in variables(t)})

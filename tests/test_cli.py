@@ -1,11 +1,12 @@
 """Command-line interface, exercised in process."""
 
+import itertools
 import json
 
 import pytest
 
 import incidentgen
-from incidentgen import IncidentgenError, __version__
+from incidentgen import IncidentgenError, __version__, terms
 from incidentgen.cli import SEPARATOR, main
 from incidentgen.kb import aviation_kb_path, data_path
 
@@ -207,6 +208,21 @@ def test_plan_constant_scorer_changes_selection(run, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("flags", [(), ("--all",)])
+def test_an_action_skipped_by_the_planner_keeps_its_fresh_names(run, tmp_path, monkeypatch, flags):
+    # b cannot reach the goal and is never renamed, but it still takes
+    # _G1, so the names a run prints do not depend on what was skipped
+    kb = tmp_path / "two.kb"
+    kb.write_text(
+        'action b(Y) { add: r(c); text: "b."; }\n'
+        'action a(X) { add: r(d); text: "a."; }\n'
+        "init { s; }\n"
+        "goal r(d).\n"
+    )
+    monkeypatch.setattr(terms, "_fresh_counter", itertools.count(1))
+    assert run("plan", "--kb", str(kb), *flags) == (0, "a(_G2)\nquality: 90\n", "")
+
+
 def test_plan_length_budget_failure(run):
     code, out, err = run("plan", "--max-length", "7")
     assert code == 1 and out == ""
@@ -255,6 +271,14 @@ def test_validate_broken_kb(run, tmp_path):
     code, out, err = run("validate", "--kb", str(bad))
     assert code == 2 and out == ""
     assert "uninstantiated add" in err
+
+
+def test_validate_requires_init_when_a_goal_is_declared(run, tmp_path):
+    kb = tmp_path / "noinit.kb"
+    kb.write_text('action a {\n  add: r;\n  text: "a.";\n}\n\ngoal r.\n')
+    expected = (2, "", f"{kb}:7:1: error: missing or empty init block\n")
+    assert run("plan", "--kb", str(kb)) == expected
+    assert run("validate", "--kb", str(kb)) == expected
 
 
 @pytest.mark.parametrize(

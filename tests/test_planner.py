@@ -1,5 +1,7 @@
 """Backward planner: satisfaction, achievement, enumeration, scoring."""
 
+from collections import Counter
+
 import pytest
 from oracles import backward_plan_set, replay
 
@@ -8,11 +10,13 @@ from incidentgen import (
     Plan,
     PlannerConfig,
     PlanStep,
+    SimConfig,
     Substitution,
     UnknownScorerError,
     Variable,
     apply_effects,
     enumerate_plans,
+    generate_incident,
     iter_satisfying,
     make_best_plan,
     parse_kb,
@@ -20,7 +24,10 @@ from incidentgen import (
     plan_quality,
     plan_sort_key,
     substitute,
+    term_key,
+    unify,
 )
+from incidentgen import planner
 from incidentgen.planner import _achieves_iter
 from conftest import facts
 
@@ -84,6 +91,23 @@ def test_iter_satisfying_threads_bindings_across_facts(kb):
     assert substitute(parse_term("at(Plane, Where)"), sols[0]) == parse_term(
         "at(airplane1, gate(seattle))"
     )
+
+
+@pytest.mark.parametrize("loose", [(), ("W",)], ids=["ground", "variable_fact"])
+@pytest.mark.parametrize("goal", ["X", "a", "p(X)", "p(X, Y)", "q(X, a)", "s(X)"])
+def test_facts_are_tried_in_term_order(goal, loose):
+    # atoms, one functor at two arities, and one arity under two functors
+    sitn = facts(
+        "b", "a", "p(b)", "p(a)", "p(c, a)", "p(a, b)", "q(b)", "q(a, a)", "r(c, a)",
+        "pair(a, b, c)", *loose,
+    )
+    goal = parse_term(goal)
+    expected = [
+        substitute(goal, s)
+        for s in (unify(goal, fact) for fact in sorted(sitn, key=term_key))
+        if s is not None
+    ]
+    assert [substitute(goal, s) for s in iter_satisfying([goal], sitn)] == expected
 
 
 # -------------------------------------------------------------- achievement
@@ -362,3 +386,36 @@ def test_every_enumerated_plan_replays_soundly(kb, boarded, fire_on_runway):
     for goal, sitn in cases:
         for plan in enumerate_plans(goal, sitn, kb):
             assert replay(plan.actions, sitn, goal, kb) is None
+
+
+# ------------------------------------------------------------ work counts
+
+
+def ill_passenger_story(kb):
+    cfg = SimConfig(
+        happening_prob=0.0, injection_schedule=((3, parse_term("ill_passenger")),)
+    )
+    return generate_incident(kb, cfg)
+
+
+@pytest.mark.parametrize(
+    "work, expected",
+    [
+        (
+            lambda kb: make_best_plan(kb.goal, kb.init, kb),
+            {"fresh_event": 32, "fresh_rule": 3, "unify": 263},
+        ),
+        (ill_passenger_story, {"fresh_event": 53, "fresh_rule": 36, "unify": 475}),
+    ],
+    ids=["best_plan", "ill_passenger_story"],
+)
+def test_planner_renames_only_clauses_that_can_match(kb, monkeypatch, work, expected):
+    counts = Counter()
+    for name in expected:
+        def counted(*args, _call=getattr(planner, name), _name=name):
+            counts[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(planner, name, counted)
+    work(kb)
+    assert counts == expected

@@ -1,7 +1,7 @@
 """Term layer: unification, substitution, ordering, renaming."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incidentgen import (
@@ -20,6 +20,7 @@ from incidentgen import (
     unify,
     variables,
 )
+from incidentgen.planner import _may_unify
 
 atoms = st.sampled_from("a b c dallas engine".split()).map(Atom)
 variables_ = st.sampled_from("X Y Z Who".split()).map(Variable)
@@ -123,6 +124,17 @@ def test_unify_soundness(a, b):
     s = unify(a, b)
     if s is not None:
         assert substitute(a, s) == substitute(b, s)
+
+
+@settings(max_examples=300)
+@given(terms, terms, terms, terms)
+def test_match_screen_passes_every_pair_that_unifies(goal, clause, left, right):
+    # the planner screens a clause term as written and unifies the goal
+    # with the clause renamed apart, under bindings that unify made
+    s = unify(left, right) or Substitution()
+    for raw in (clause, goal):
+        if unify(goal, rename_fresh(raw), s) is not None:
+            assert _may_unify(goal, raw, s)
 
 
 @given(terms)
