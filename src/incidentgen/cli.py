@@ -90,8 +90,8 @@ class RunManifest:
             raise ValueError(f"malformed manifest: {err}") from None
 
 
-def _load_checked(path: str) -> KnowledgeBase:
-    kb = load_kb(path)
+def _load_checked(path: str, require_init_goal: bool = True) -> KnowledgeBase:
+    kb = load_kb(path, require_init_goal)
     errors = [d for d in validate_kb(kb, filename=str(path)) if d.severity == "error"]
     if errors:
         raise ParseError(errors)
@@ -208,6 +208,8 @@ def cmd_generate(args) -> int:
         if not isinstance(obj, dict):
             raise ValueError(f"{args.replay} does not contain a manifest")
         manifest = RunManifest.from_json(obj)
+        if manifest.version != __version__:
+            print(f"warning: replaying a {manifest.version} manifest with {__version__}", file=sys.stderr)
         return _emit_generate(manifest, fmt="text")
     return _emit_generate(_manifest_from_args(args, "generate"), fmt=args.format)
 
@@ -284,7 +286,7 @@ def cmd_forward(args) -> int:
     goal = parse_term(args.goal) if args.goal else kb.goal
     cfg = SearchConfig(max_depth=args.depth)
     if args.adversary is not None:
-        adversary = load_kb(args.adversary, require_init_goal=False)
+        adversary = _load_checked(args.adversary, require_init_goal=False)
         hero_kb = replace(kb, init=frozenset(kb.init | adversary.init))
         trace = adversarial_story(hero_kb, goal, adversary.actions, cfg)
         merged = replace(kb, events=(*kb.events, *adversary.events))

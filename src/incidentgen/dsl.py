@@ -50,12 +50,13 @@ from .kb import (
 from .terms import (
     Atom,
     Compound,
+    FreshNames,
     IncidentgenError,
     Term,
     Variable,
     format_term,
     ground,
-    rename_fresh,
+    signature,
     term_key,
     unify,
     variables,
@@ -529,14 +530,6 @@ def parse_term(text: str, filename: str = "<term>") -> Term:
     return term
 
 
-def _signature(term: Term) -> Optional[tuple[str, int]]:
-    if isinstance(term, Compound):
-        return term.functor, len(term.args)
-    if isinstance(term, Atom):
-        return term.name, 0
-    return None
-
-
 def validate_kb(kb: KnowledgeBase, filename: str = "<kb>") -> list[Diagnostic]:
     """Semantic checks beyond what the grammar enforces.
 
@@ -554,15 +547,18 @@ def validate_kb(kb: KnowledgeBase, filename: str = "<kb>") -> list[Diagnostic]:
         return p if p is not None else (0, 0)
 
     # fact shapes some situation can contain
-    establishable = {_signature(fact) for fact in kb.init}
-    establishable.update(_signature(t) for e in kb.events for t in e.adds)
-    establishable.update(_signature(r.head) for r in kb.rules)
+    establishable = {signature(fact) for fact in kb.init}
+    establishable.update(signature(t) for e in kb.events for t in e.adds)
+    establishable.update(signature(r.head) for r in kb.rules)
 
     # everything the planner or rule prover might chase
     wanted: list[Term] = [] if kb.goal is None else [kb.goal]
     wanted.extend(r.new for r in kb.revisions)
     wanted.extend(g for r in kb.rules for g in r.body)
     wanted.extend(p for e in kb.events for p in e.pcs)
+    # renamed apart from every add list, in a scope used only for that
+    names = FreshNames()
+    [goals] = names.rename(wanted)
 
     seen: set[tuple[str, str, int]] = set()
     for event in kb.events:
@@ -612,11 +608,8 @@ def validate_kb(kb: KnowledgeBase, filename: str = "<kb>") -> list[Diagnostic]:
                 )
             )
         if event.kind == "action":
-            usable = any(
-                unify(rename_fresh(add), rename_fresh(goal)) is not None
-                for add in event.adds
-                for goal in wanted
-            )
+            [adds] = names.rename(event.adds)
+            usable = any(unify(add, goal) is not None for add in adds for goal in goals)
             if not usable:
                 diags.append(
                     Diagnostic(
@@ -627,7 +620,7 @@ def validate_kb(kb: KnowledgeBase, filename: str = "<kb>") -> list[Diagnostic]:
                 )
         else:
             for pc in event.pcs:
-                sig = _signature(pc)
+                sig = signature(pc)
                 if sig is not None and sig not in establishable:
                     diags.append(
                         Diagnostic(

@@ -30,19 +30,20 @@ from .dsl import (
     ParseError,
     _ParseFail,
     _read_term,
-    _signature,
     _tokenize,
     _TokenStream,
 )
 from .kb import SourcePos
 from .rng import RngState, rnd_member
 from .terms import (
+    FreshNames,
     IncidentgenError,
     Substitution,
     Term,
     Variable,
     format_term,
-    rename_fresh_all,
+    fresh_floor,
+    signature,
     substitute,
     term_key,
     unify,
@@ -103,8 +104,8 @@ class Grammar:
     productions: tuple[Production, ...]
 
     def has_symbol(self, symbol: Term) -> bool:
-        sig = _signature(symbol)
-        return any(_signature(p.head) == sig for p in self.productions)
+        sig = signature(symbol)
+        return any(signature(p.head) == sig for p in self.productions)
 
 
 def parse_grammar(text: str, filename: str = "<grammar>") -> Grammar:
@@ -156,23 +157,15 @@ def load_grammar(path) -> Grammar:
     return parse_grammar(path.read_text(), filename=str(path))
 
 
-def _fresh_production(p: Production) -> tuple[Term, tuple[BodyItem, ...]]:
-    flat: list[Term] = [p.head]
-    for item in p.body:
-        flat.extend(item.items if isinstance(item, TerminalList) else (item.term,))
-    renamed = rename_fresh_all(flat)
-    head = renamed[0]
-    body: list[BodyItem] = []
-    i = 1
-    for item in p.body:
-        if isinstance(item, TerminalList):
-            n = len(item.items)
-            body.append(TerminalList(tuple(renamed[i : i + n])))
-            i += n
-        else:
-            body.append(NonterminalRef(renamed[i]))
-            i += 1
-    return head, tuple(body)
+def _fresh_production(p: Production, names: FreshNames) -> tuple[Term, tuple[BodyItem, ...]]:
+    (head,), *items = names.rename(
+        (p.head,), *(i.items if isinstance(i, TerminalList) else (i.term,) for i in p.body)
+    )
+    body = tuple(
+        TerminalList(terms) if isinstance(i, TerminalList) else NonterminalRef(terms[0])
+        for i, terms in zip(p.body, items)
+    )
+    return head, body
 
 
 def _expand_once(
@@ -181,12 +174,13 @@ def _expand_once(
     rng: RngState,
     depth: int,
     subst: Substitution,
+    names: FreshNames,
 ) -> tuple[list[Term], Substitution, RngState]:
     if depth <= 0:
         raise DepthExceededError(substitute(symbol, subst), depth)
     candidates: list[tuple[Term, tuple[BodyItem, ...], Substitution]] = []
     for p in grammar.productions:
-        head, body = _fresh_production(p)
+        head, body = _fresh_production(p, names)
         extended = unify(head, symbol, subst)
         if extended is not None:
             candidates.append((head, body, extended))
@@ -199,7 +193,7 @@ def _expand_once(
             tokens.extend(item.items)
         else:
             sub_tokens, extended, rng = _expand_once(
-                grammar, item.term, rng, depth - 1, extended
+                grammar, item.term, rng, depth - 1, extended, names
             )
             tokens.extend(sub_tokens)
     return tokens, extended, rng
@@ -219,7 +213,8 @@ def expand(
     """
     if not grammar.has_symbol(symbol):
         raise UnknownNonterminalError(symbol)
-    tokens, subst, _ = _expand_once(grammar, symbol, rng, max_depth, Substitution())
+    names = FreshNames(fresh_floor((symbol,)))
+    tokens, subst, _ = _expand_once(grammar, symbol, rng, max_depth, Substitution(), names)
     return [substitute(t, subst) for t in tokens]
 
 
@@ -229,17 +224,18 @@ def _enumerate(
     depth: int,
     subst: Substitution,
     on_dead: Optional[Callable[[Term], None]],
+    names: FreshNames,
 ) -> Iterator[tuple[list[Term], Substitution]]:
     if depth <= 0:
         return
     matched = False
     for p in grammar.productions:
-        head, body = _fresh_production(p)
+        head, body = _fresh_production(p, names)
         extended = unify(head, symbol, subst)
         if extended is None:
             continue
         matched = True
-        yield from _enumerate_body(grammar, body, depth, extended, on_dead)
+        yield from _enumerate_body(grammar, body, depth, extended, on_dead, names)
     if not matched and on_dead is not None:
         on_dead(substitute(symbol, subst))
 
@@ -250,17 +246,18 @@ def _enumerate_body(
     depth: int,
     subst: Substitution,
     on_dead: Optional[Callable[[Term], None]],
+    names: FreshNames,
 ) -> Iterator[tuple[list[Term], Substitution]]:
     if not items:
         yield [], subst
         return
     first, rest = items[0], items[1:]
     if isinstance(first, TerminalList):
-        for tokens, extended in _enumerate_body(grammar, rest, depth, subst, on_dead):
+        for tokens, extended in _enumerate_body(grammar, rest, depth, subst, on_dead, names):
             yield [*first.items, *tokens], extended
     else:
-        for tokens1, s1 in _enumerate(grammar, first.term, depth - 1, subst, on_dead):
-            for tokens2, s2 in _enumerate_body(grammar, rest, depth, s1, on_dead):
+        for tokens1, s1 in _enumerate(grammar, first.term, depth - 1, subst, on_dead, names):
+            for tokens2, s2 in _enumerate_body(grammar, rest, depth, s1, on_dead, names):
                 yield tokens1 + tokens2, s2
 
 
@@ -274,11 +271,12 @@ def enumerate_expansions(
     Dead and too-deep branches are pruned; the result is duplicate-free
     in a deterministic (production declaration) order.
     """
-    if not grammar.has_symbol(symbol):
-        raise UnknownNonterminalError(symbol)
     out: list[list[Term]] = []
     seen: set[tuple] = set()
-    for tokens, subst in _enumerate(grammar, symbol, max_depth, Substitution(), None):
+    if not grammar.has_symbol(symbol):
+        raise UnknownNonterminalError(symbol)
+    names = FreshNames(fresh_floor((symbol,)))
+    for tokens, subst in _enumerate(grammar, symbol, max_depth, Substitution(), None, names):
         resolved = [substitute(t, subst) for t in tokens]
         key = tuple(term_key(t) for t in resolved)
         if key not in seen:
@@ -294,9 +292,10 @@ def find_dead_ends(
 ) -> list[Term]:
     """Nonterminal instances reachable from symbol that no production
     unifies with, in term order."""
+    dead: set[Term] = set()
     if not grammar.has_symbol(symbol):
         raise UnknownNonterminalError(symbol)
-    dead: set[Term] = set()
-    for _ in _enumerate(grammar, symbol, max_depth, Substitution(), dead.add):
+    names = FreshNames(fresh_floor((symbol,)))
+    for _ in _enumerate(grammar, symbol, max_depth, Substitution(), dead.add, names):
         pass
     return sorted(dead, key=term_key)

@@ -17,11 +17,11 @@ from typing import Mapping, Optional, Union
 
 from .terms import (
     Compound,
+    FreshNames,
     IncidentgenError,
     Term,
     count_variables,
     format_term,
-    rename_fresh_all,
     unify,
 )
 
@@ -184,24 +184,19 @@ class KnowledgeBase:
         return None
 
 
-def fresh_event(event: EventDef) -> EventDef:
-    """Copy an event with its variables renamed apart."""
-    n_pcs, n_dels = len(event.pcs), len(event.dels)
-    renamed = rename_fresh_all([event.head, *event.pcs, *event.dels, *event.adds])
-    head = renamed[0]
-    pcs = tuple(renamed[1 : 1 + n_pcs])
-    dels = tuple(renamed[1 + n_pcs : 1 + n_pcs + n_dels])
-    adds = tuple(renamed[1 + n_pcs + n_dels :])
+def fresh_event(event: EventDef, names: FreshNames) -> EventDef:
+    """Copy an event with its variables renamed apart in ``names``."""
+    (head,), pcs, dels, adds = names.rename((event.head,), event.pcs, event.dels, event.adds)
     return EventDef(event.kind, head, pcs, dels, adds, event.template, event.pos)
 
 
-def fresh_rule(rule: DerivationRule) -> DerivationRule:
-    renamed = rename_fresh_all([rule.head, *rule.body])
-    return DerivationRule(renamed[0], tuple(renamed[1:]), rule.pos)
+def fresh_rule(rule: DerivationRule, names: FreshNames) -> DerivationRule:
+    (head,), body = names.rename((rule.head,), rule.body)
+    return DerivationRule(head, body, rule.pos)
 
 
-def fresh_revision(rule: RevisionRule) -> RevisionRule:
-    old, trigger, new = rename_fresh_all([rule.old, rule.trigger, rule.new])
+def fresh_revision(rule: RevisionRule, names: FreshNames) -> RevisionRule:
+    [(old, trigger, new)] = names.rename((rule.old, rule.trigger, rule.new))
     return RevisionRule(old, trigger, new, rule.pos)
 
 

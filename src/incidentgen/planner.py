@@ -17,13 +17,13 @@ each way of pairing them is a separate branch.
 
 Work that cannot succeed is skipped. A clause (action or rule) is
 renamed apart only if a deep screen finds that it may unify with the
-goal, and each situation is sorted into term order and grouped by
-signature (an atom's name, a compound's functor and arity) once, so a
-goal is tried only against facts of its own signature. Fresh variable
-names are visible output: a clause whose root matches the goal but
-which the screen skips still takes its block of names, so every name,
-and every tie-break by term order, is the same as if it had been
-renamed.
+goal, and each situation is sorted into term order, grouped by
+signature and scanned for its highest ``_G`` name once, so a goal is
+tried only against facts of its own signature. Each query takes fresh
+names from its own scope, counted from above those in its inputs. They
+are visible output: a clause whose root matches but which the screen
+skips still takes its block of names, so every name, and every
+tie-break by term order, is as if it had been renamed.
 
 Each plan step records the subgoal it was chosen to achieve and the
 step that needed that subgoal, so a finished plan can be read backwards
@@ -40,12 +40,14 @@ from .kb import DerivationRule, EventDef, KnowledgeBase, Situation, fresh_event,
 from .terms import (
     Atom,
     Compound,
+    FreshNames,
     IncidentgenError,
     Substitution,
     Term,
     Variable,
     format_term,
-    reserve_fresh,
+    fresh_floor,
+    signature,
     substitute,
     term_key,
     unify,
@@ -163,13 +165,9 @@ def _same_root(seen: Term, raw: Term) -> bool:
     # how deep the screen looks
     if isinstance(seen, Variable) or isinstance(raw, Variable):
         return True
-    if isinstance(seen, Compound):
-        return (
-            isinstance(raw, Compound)
-            and seen.functor == raw.functor
-            and len(seen.args) == len(raw.args)
-        )
-    return isinstance(raw, Atom) and seen.name == raw.name
+    if isinstance(seen, Atom) or isinstance(raw, Atom):
+        return seen == raw
+    return seen.functor == raw.functor and len(seen.args) == len(raw.args)
 
 
 def _may_unify(goal: Term, raw: Term, subst: Substitution) -> bool:
@@ -197,7 +195,7 @@ def _may_unify(goal: Term, raw: Term, subst: Substitution) -> bool:
 
 
 def _renamed_rules(
-    seen: Term, rules: Sequence[DerivationRule], subst: Substitution
+    seen: Term, rules: Sequence[DerivationRule], subst: Substitution, names: FreshNames
 ) -> Iterator[tuple[DerivationRule, DerivationRule]]:
     # each rule whose head may unify with the walked goal, renamed apart;
     # one whose root matches but whose head cannot unify only takes its
@@ -205,40 +203,37 @@ def _renamed_rules(
     for rule in rules:
         if _same_root(seen, rule.head):
             if _may_unify(seen, rule.head, subst):
-                yield rule, fresh_rule(rule)
+                yield rule, fresh_rule(rule, names)
             else:
-                reserve_fresh(rule.fresh_width)
-
-
-def _signature(term: Term):
-    # (functor, arity) of a compound, the name of an atom, None for a
-    # variable: two terms whose signatures differ cannot unify
-    if isinstance(term, Compound):
-        return term.functor, len(term.args)
-    return term.name if isinstance(term, Atom) else None
+                names.reserve(rule.fresh_width)
 
 
 @lru_cache(maxsize=128)
-def _indexed(sitn: Situation) -> tuple[tuple[Term, ...], dict, tuple[Term, ...]]:
+def _indexed(sitn: Situation) -> tuple[tuple[Term, ...], dict, tuple[Term, ...], int]:
     # the situation in term order, once, and the same order split by
     # signature; variable facts sort first and may match any goal, so
-    # they head every group
+    # they head every group. Last, the situation's fresh-name floor
     facts = tuple(sorted(sitn, key=term_key))
     groups: dict = {}
     loose: list[Term] = []
     for fact in facts:
-        sig = _signature(fact)
+        sig = signature(fact)
         if sig is None:
             loose.append(fact)
         else:
             groups.setdefault(sig, list(loose)).append(fact)
-    return facts, groups, tuple(loose)
+    return facts, groups, tuple(loose), fresh_floor(facts)
+
+
+def _scope(sitn: Situation, *terms: Term) -> FreshNames:
+    # one query's names, above every _G name in its situation and terms
+    return FreshNames(max(fresh_floor(terms), _indexed(frozenset(sitn))[3]))
 
 
 def _facts_matching(seen: Term, sitn: Situation) -> Sequence[Term]:
     # the facts that may unify with a walked goal, in term order
-    facts, groups, loose = _indexed(sitn)
-    sig = _signature(seen)
+    facts, groups, loose, _ = _indexed(frozenset(sitn))
+    sig = signature(seen)
     return facts if sig is None else groups.get(sig, loose)
 
 
@@ -247,6 +242,7 @@ def _satisfied_iter(
     sitn: Situation,
     rules: Sequence[DerivationRule],
     subst: Substitution,
+    names: FreshNames,
     depth: int = _MAX_RULE_DEPTH,
 ) -> Iterator[Substitution]:
     seen = subst.walk(goal)
@@ -256,10 +252,10 @@ def _satisfied_iter(
             yield extended
     if depth <= 0:
         return
-    for _, fresh in _renamed_rules(seen, rules, subst):
+    for _, fresh in _renamed_rules(seen, rules, subst, names):
         extended = unify(goal, fresh.head, subst)
         if extended is not None:
-            yield from _satisfied_seq(fresh.body, sitn, rules, extended, depth - 1)
+            yield from _satisfied_seq(fresh.body, sitn, rules, extended, names, depth - 1)
 
 
 def _satisfied_seq(
@@ -267,13 +263,14 @@ def _satisfied_seq(
     sitn: Situation,
     rules: Sequence[DerivationRule],
     subst: Substitution,
-    depth: int,
+    names: FreshNames,
+    depth: int = _MAX_RULE_DEPTH,
 ) -> Iterator[Substitution]:
     if not goals:
         yield subst
         return
-    for extended in _satisfied_iter(goals[0], sitn, rules, subst, depth):
-        yield from _satisfied_seq(goals[1:], sitn, rules, extended, depth)
+    for extended in _satisfied_iter(goals[0], sitn, rules, subst, names, depth):
+        yield from _satisfied_seq(goals[1:], sitn, rules, extended, names, depth)
 
 
 def iter_satisfying(
@@ -288,10 +285,9 @@ def iter_satisfying(
     whose body is recursively satisfied. The results are full working
     substitutions; the simulator threads them into effect application.
     """
-    # the situation index is keyed by the (hashable) situation itself
-    yield from _satisfied_seq(
-        tuple(facts), frozenset(sitn), rules, subst or Substitution(), _MAX_RULE_DEPTH
-    )
+    facts, subst = tuple(facts), subst or Substitution()
+    names = _scope(sitn, *facts, *subst, *subst.values())
+    yield from _satisfied_seq(facts, sitn, rules, subst, names)
 
 
 def _match_distinct(
@@ -318,6 +314,7 @@ def _achieves_iter(
     goal: Term,
     rules: Sequence[DerivationRule],
     subst: Substitution,
+    names: FreshNames,
 ) -> Iterator[tuple[Substitution, Optional[DerivationRule]]]:
     # either the goal unifies with an add-list member, or a rule's head
     # unifies with the goal and its body with distinct add-list members
@@ -325,7 +322,7 @@ def _achieves_iter(
         extended = unify(goal, add, subst)
         if extended is not None:
             yield extended, None
-    for rule, fresh in _renamed_rules(subst.walk(goal), rules, subst):
+    for rule, fresh in _renamed_rules(subst.walk(goal), rules, subst, names):
         extended = unify(goal, fresh.head, subst)
         if extended is None:
             continue
@@ -351,9 +348,10 @@ def apply_effects(
 
 @dataclass
 class _Search:
-    """Per-search state: the next step id and the current length bound."""
+    """Per-search state: the length bound, the fresh names, the next step id."""
 
     bound: int
+    names: FreshNames
     next_id: int = 1
 
 
@@ -381,7 +379,7 @@ def _plan(
     # already true: one empty plan per satisfying substitution, and the
     # action case is then blocked entirely
     satisfied_any = False
-    for extended in _satisfied_iter(goal, sitn, kb.rules, subst):
+    for extended in _satisfied_iter(goal, sitn, kb.rules, subst, search.names):
         satisfied_any = True
         yield [], sitn, extended
     if satisfied_any or used >= search.bound:
@@ -403,10 +401,10 @@ def _plan(
         roots = [a for a in event.adds if _same_root(seen, a)]
         if not by_rule and not any(_may_unify(seen, a, subst) for a in roots):
             if rooted or roots:
-                reserve_fresh(event.fresh_width + rooted_width)
+                search.names.reserve(event.fresh_width + rooted_width)
             continue
-        fresh = fresh_event(event)
-        for achieved, via_rule in _achieves_iter(fresh, goal, kb.rules, subst):
+        fresh = fresh_event(event, search.names)
+        for achieved, via_rule in _achieves_iter(fresh, goal, kb.rules, subst, search.names):
             for pre_recs, mid_sitn, mid_subst in _plan_seq(
                 fresh.pcs, sitn, new_stack, achieved, used + 1, kb, search
             ):
@@ -476,7 +474,7 @@ def _plans(
 ) -> list[Plan]:
     # distinct plans, each sequence's first derivation; with shrink each
     # plan lowers the bound to its own length, so ties are still found
-    search = _Search(bound=cfg.max_plan_length)
+    search = _Search(cfg.max_plan_length, _scope(sitn, goal))
     plans: dict[tuple, Plan] = {}
     for recs, _, subst in _plan(goal, sitn, (), Substitution(), 0, kb, search):
         plan = _finalize(recs, subst)

@@ -29,12 +29,14 @@ from .planner import (
     NoPlanFoundError,
     Plan,
     PlanStep,
+    _satisfied_seq,
+    _scope,
     apply_effects,
     iter_satisfying,
     make_best_plan,
 )
 from .simulator import GoalEntry, Trace, apply_event
-from .terms import IncidentgenError, Term, ground, substitute, term_key
+from .terms import IncidentgenError, Substitution, Term, ground, substitute, term_key
 
 # score for situations the goal is unreachable from; any reachable
 # situation must rank above it
@@ -85,11 +87,12 @@ def _applicable_actions(
     one entry per distinct instance.
     """
     out: list[tuple[Term, Situation]] = []
+    names = _scope(sitn)
     for event in kb.actions:
-        fresh = fresh_event(event)
+        fresh = fresh_event(event, names)
         found: list[tuple[Term, Situation]] = []
         seen: set[tuple] = set()
-        for solution in iter_satisfying(fresh.pcs, sitn, kb.rules):
+        for solution in _satisfied_seq(fresh.pcs, sitn, kb.rules, Substitution(), names):
             instance = substitute(fresh.head, solution)
             if not ground(instance):
                 continue

@@ -23,6 +23,8 @@ from .planner import (
     PlanStep,
     ScoredPlan,
     _may_unify,
+    _satisfied_seq,
+    _scope,
     apply_effects,
     iter_satisfying,
     make_best_plan,
@@ -33,7 +35,6 @@ from .terms import (
     Substitution,
     Term,
     format_term,
-    reserve_fresh,
     substitute,
     term_key,
     unify,
@@ -120,11 +121,12 @@ def applicable_happenings(sitn: Situation, kb: KnowledgeBase) -> list[Term]:
     instantiations of one definition.
     """
     out: list[Term] = []
+    names = _scope(sitn)
     for event in kb.happenings:
-        fresh = fresh_event(event)
+        fresh = fresh_event(event, names)
         instances = {
             substitute(fresh.head, s)
-            for s in iter_satisfying(fresh.pcs, sitn, kb.rules)
+            for s in _satisfied_seq(fresh.pcs, sitn, kb.rules, Substitution(), names)
         }
         out.extend(sorted(instances, key=term_key))
     return out
@@ -140,17 +142,18 @@ def revise_goal(
     trigger instance is returned alongside. No match returns the goal
     unchanged with None.
     """
+    names = _scope(sitn, goal)
     for rule in kb.revisions:
         # a pattern that cannot match the goal is not renamed, but its
         # block of fresh names is still taken, so later names hold
         if not _may_unify(goal, rule.old, Substitution()):
-            reserve_fresh(rule.fresh_width)
+            names.reserve(rule.fresh_width)
             continue
-        fresh = fresh_revision(rule)
+        fresh = fresh_revision(rule, names)
         bound = unify(fresh.old, goal)
         if bound is None:
             continue
-        solution = next(iter_satisfying([fresh.trigger], sitn, kb.rules, bound), None)
+        solution = next(_satisfied_seq([fresh.trigger], sitn, kb.rules, bound, names), None)
         if solution is None:
             continue
         return substitute(fresh.new, solution), substitute(fresh.trigger, solution)

@@ -4,7 +4,9 @@ Terms are immutable: variables, atoms, and compound terms built from a
 functor plus argument terms. Everything downstream (knowledge bases,
 planning, simulation) manipulates these values, so determinism starts
 here: ``term_key`` defines one total order used whenever a set of terms
-or plans must be traversed in a reproducible sequence.
+or plans must be traversed in a reproducible sequence, and each query
+renames clauses apart in a ``FreshNames`` scope of its own, so no query
+depends on how many names an earlier one took.
 
 ``IncidentgenError``, the base of every error the package raises on
 purpose, lives here too: this is the lowest module, the one every
@@ -13,7 +15,6 @@ other module builds on.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -224,51 +225,57 @@ def variables(term: Term) -> list[Variable]:
     return found
 
 
-_fresh_counter = itertools.count(1)
-
-
-def reserve_fresh(count: int) -> None:
-    """Use up the next ``count`` fresh names without making any term.
-
-    Fresh names are visible output, so a caller that skips renaming a
-    clause reserves the clause's block of names in its place (the WAM's
-    offset per call): every later name is the one it would have been.
-    """
-    global _fresh_counter
-    if count:
-        _fresh_counter = itertools.count(next(_fresh_counter) + count)
-
-
-def _rename(term: Term, mapping: dict[Variable, Variable]) -> Term:
-    if isinstance(term, Variable):
-        if term not in mapping:
-            mapping[term] = Variable(f"_G{next(_fresh_counter)}")
-        return mapping[term]
+def signature(term: Term) -> Optional[tuple[str, int]]:
+    """(functor, arity) of a compound, (name, 0) of an atom, None for a
+    variable. Non-variable terms whose signatures differ cannot unify."""
     if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_rename(arg, mapping) for arg in term.args))
-    return term
+        return term.functor, len(term.args)
+    return (term.name, 0) if isinstance(term, Atom) else None
 
 
-def rename_fresh(term: Term) -> Term:
-    """Copy a term with every variable renamed to a globally new one.
-
-    Fresh names use the reserved ``_G`` prefix and never collide with
-    source-level names, so two renamings share no variables.
-    """
-    return _rename(term, {})
+def fresh_floor(terms: Iterable[Term]) -> int:
+    """The highest n of a ``_G<n>`` variable among the terms, 0 if none."""
+    found = [v.name[2:] for t in terms for v in variables(t) if v.name.startswith("_G")]
+    return max((int(n) for n in found if n.isdecimal()), default=0)
 
 
-def rename_fresh_all(terms: Iterable[Term]) -> list[Term]:
-    """Rename variables across several terms with one shared mapping.
+class FreshNames:
+    """One query's supply of fresh variable names, ``_G<n>``.
 
-    Used to rename a whole clause (head plus body lists) while keeping
-    its internal variable links intact.
-    """
-    mapping: dict[Variable, Variable] = {}
-    return [_rename(t, mapping) for t in terms]
+    A query opens one scope and passes it down. Its names count up from
+    1 above ``floor``, the highest such name in the query's own inputs
+    (``fresh_floor``), so a renamed clause never captures an input
+    variable and the answer depends on the query's arguments alone."""
+
+    def __init__(self, floor: int = 0) -> None:
+        self._next = floor + 1
+
+    def reserve(self, count: int) -> None:
+        """Use up the next ``count`` names in place of a clause the caller
+        skips renaming. Names are visible output: every later name is the
+        one it would have been (the WAM's offset per call)."""
+        self._next += count
+
+    def rename(self, *groups: Iterable[Term]) -> list[tuple[Term, ...]]:
+        """Copy groups of terms with every variable renamed to a new name.
+        The groups share one mapping, so a whole clause (head plus body
+        lists) keeps its variable links; two calls share no variables."""
+        mapping: dict[Variable, Variable] = {}
+        def copy(term: Term) -> Term:
+            if isinstance(term, Variable):
+                fresh = mapping.get(term)
+                if fresh is None:
+                    fresh = mapping[term] = Variable(f"_G{self._next}")
+                    self._next += 1
+                return fresh
+            if isinstance(term, Compound):
+                return Compound(term.functor, tuple([copy(a) for a in term.args]))
+            return term
+
+        return [tuple([copy(t) for t in group]) for group in groups]
 
 
 def count_variables(terms: Iterable[Term]) -> int:
     """Distinct variables across several terms: the fresh names that
-    ``rename_fresh_all`` takes for them."""
+    ``FreshNames.rename`` takes for them."""
     return len({v for t in terms for v in variables(t)})

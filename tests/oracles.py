@@ -12,6 +12,7 @@ from typing import Iterator, Optional, Sequence
 from incidentgen import (
     DerivationRule,
     EventDef,
+    FreshNames,
     Grammar,
     KnowledgeBase,
     Situation,
@@ -20,9 +21,9 @@ from incidentgen import (
     TerminalList,
     format_term,
     fresh_event,
+    fresh_floor,
     fresh_rule,
     ground,
-    rename_fresh_all,
     substitute,
     term_key,
     unify,
@@ -48,6 +49,7 @@ def _holds(
     sitn: Situation,
     rules: Sequence[DerivationRule],
     subst: Substitution,
+    names: FreshNames,
     depth: int = _RULE_DEPTH,
 ) -> Iterator[Substitution]:
     for fact in sorted(sitn, key=term_key):
@@ -60,11 +62,11 @@ def _holds(
     for rule in rules:
         if not _same_root(goal_now, rule.head):
             continue
-        fresh = fresh_rule(rule)
+        fresh = fresh_rule(rule, names)
         s = unify(goal, fresh.head, subst)
         if s is None:
             continue
-        yield from _holds_all(fresh.body, sitn, rules, s, depth - 1)
+        yield from _holds_all(fresh.body, sitn, rules, s, names, depth - 1)
 
 
 def _holds_all(
@@ -72,17 +74,22 @@ def _holds_all(
     sitn: Situation,
     rules: Sequence[DerivationRule],
     subst: Substitution,
+    names: FreshNames,
     depth: int = _RULE_DEPTH,
 ) -> Iterator[Substitution]:
     if not goals:
         yield subst
         return
-    for s in _holds(goals[0], sitn, rules, subst, depth):
-        yield from _holds_all(goals[1:], sitn, rules, s, depth)
+    for s in _holds(goals[0], sitn, rules, subst, names, depth):
+        yield from _holds_all(goals[1:], sitn, rules, s, names, depth)
 
 
 def _achievers(
-    event: EventDef, goal: Term, rules: Sequence[DerivationRule], subst: Substitution
+    event: EventDef,
+    goal: Term,
+    rules: Sequence[DerivationRule],
+    subst: Substitution,
+    names: FreshNames,
 ) -> Iterator[Substitution]:
     for add in event.adds:
         s = unify(goal, add, subst)
@@ -92,7 +99,7 @@ def _achievers(
     for rule in rules:
         if not _same_root(goal_now, rule.head):
             continue
-        fresh = fresh_rule(rule)
+        fresh = fresh_rule(rule, names)
         s = unify(goal, fresh.head, subst)
         if s is not None:
             yield from _pick_distinct(fresh.body, list(event.adds), s)
@@ -129,9 +136,10 @@ def _solve(
     subst: Substitution,
     budget: int,
     kb: KnowledgeBase,
+    names: FreshNames,
 ) -> Iterator[tuple[tuple[Term, ...], Situation, Substitution]]:
     held = False
-    for s in _holds(goal, sitn, kb.rules, subst):
+    for s in _holds(goal, sitn, kb.rules, subst, names):
         held = True
         yield (), sitn, s
     if held or budget <= 0:
@@ -149,10 +157,10 @@ def _solve(
             _same_root(goal_now, h) for h in rule_heads
         ):
             continue
-        fresh = fresh_event(event)
-        for s0 in _achievers(fresh, goal, kb.rules, subst):
+        fresh = fresh_event(event, names)
+        for s0 in _achievers(fresh, goal, kb.rules, subst, names):
             for pre_actions, mid, s1 in _solve_all(
-                fresh.pcs, sitn, (goal, *stack), s0, budget - 1, kb
+                fresh.pcs, sitn, (goal, *stack), s0, budget - 1, kb, names
             ):
                 dels = [substitute(d, s1) for d in fresh.dels]
                 for shrunk, s2 in _erase(dels, mid, s1):
@@ -167,13 +175,14 @@ def _solve_all(
     subst: Substitution,
     budget: int,
     kb: KnowledgeBase,
+    names: FreshNames,
 ) -> Iterator[tuple[tuple[Term, ...], Situation, Substitution]]:
     if not goals:
         yield (), sitn, subst
         return
-    for actions1, sitn1, s1 in _solve(goals[0], sitn, stack, subst, budget, kb):
+    for actions1, sitn1, s1 in _solve(goals[0], sitn, stack, subst, budget, kb, names):
         for actions2, sitn2, s2 in _solve_all(
-            goals[1:], sitn1, stack, s1, budget - len(actions1), kb
+            goals[1:], sitn1, stack, s1, budget - len(actions1), kb, names
         ):
             yield actions1 + actions2, sitn2, s2
 
@@ -182,8 +191,9 @@ def backward_plan_set(
     goal: Term, sitn: Situation, kb: KnowledgeBase, bound: int
 ) -> set[tuple[Term, ...]]:
     """All action sequences the backward scheme derives, as a set."""
+    names = FreshNames(fresh_floor([goal, *sitn]))
     out: set[tuple[Term, ...]] = set()
-    for actions, _, subst in _solve(goal, sitn, (), Substitution(), bound, kb):
+    for actions, _, subst in _solve(goal, sitn, (), Substitution(), bound, kb, names):
         out.add(tuple(substitute(a, subst) for a in actions))
     return out
 
@@ -192,9 +202,10 @@ def _ground_moves(
     sitn: Situation, kb: KnowledgeBase
 ) -> list[tuple[Term, Situation]]:
     moves = []
+    names = FreshNames(fresh_floor(sitn))
     for event in kb.actions:
-        fresh = fresh_event(event)
-        for s in _holds_all(fresh.pcs, sitn, kb.rules, Substitution()):
+        fresh = fresh_event(event, names)
+        for s in _holds_all(fresh.pcs, sitn, kb.rules, Substitution(), names):
             instance = substitute(fresh.head, s)
             if not ground(instance):
                 continue
@@ -223,7 +234,8 @@ def forward_sequence_set(
     memo: dict[tuple[Situation, int], frozenset] = {}
 
     def suffixes(here: Situation, budget: int) -> frozenset:
-        if next(_holds(goal, here, kb.rules, Substitution()), None) is not None:
+        names = FreshNames(fresh_floor([goal, *here]))
+        if next(_holds(goal, here, kb.rules, Substitution(), names), None) is not None:
             return frozenset({()})
         if budget <= 0:
             return frozenset()
@@ -243,32 +255,23 @@ def grammar_expansions(
     grammar: Grammar, symbol: Term, depth: int
 ) -> list[tuple[Term, ...]]:
     """All terminal sequences, by straightforward recursion."""
+    names = FreshNames(fresh_floor([symbol]))
 
     def rewrite(sym: Term, d: int, subst: Substitution):
         if d <= 0:
             return
         for p in grammar.productions:
-            flat = rename_fresh_all(
-                [p.head]
-                + [
-                    t
-                    for item in p.body
-                    for t in (
-                        item.items if isinstance(item, TerminalList) else (item.term,)
-                    )
-                ]
-            )
-            head, rest = flat[0], flat[1:]
-            body = []
-            i = 0
-            for item in p.body:
-                if isinstance(item, TerminalList):
-                    n = len(item.items)
-                    body.append(("terminals", tuple(rest[i : i + n])))
-                    i += n
-                else:
-                    body.append(("symbol", rest[i]))
-                    i += 1
+            items = [
+                item.items if isinstance(item, TerminalList) else (item.term,)
+                for item in p.body
+            ]
+            (head,), *groups = names.rename((p.head,), *items)
+            body = [
+                ("terminals", group)
+                if isinstance(item, TerminalList)
+                else ("symbol", group[0])
+                for item, group in zip(p.body, groups)
+            ]
             s = unify(head, sym, subst)
             if s is None:
                 continue
@@ -305,11 +308,12 @@ def replay(
     kb: KnowledgeBase,
 ) -> Optional[str]:
     """Step a plan through the world; None if sound, else what broke."""
+    names = FreshNames(fresh_floor([*plan_actions, *sitn, goal]))
     here = sitn
     for action in plan_actions:
         matched = None
         for event in kb.actions:
-            fresh = fresh_event(event)
+            fresh = fresh_event(event, names)
             s = unify(fresh.head, action)
             if s is not None:
                 matched = (fresh, s)
@@ -317,7 +321,7 @@ def replay(
         if matched is None:
             return f"no action definition matches {format_term(action)}"
         fresh, s = matched
-        s2 = next(_holds_all(fresh.pcs, here, kb.rules, s), None)
+        s2 = next(_holds_all(fresh.pcs, here, kb.rules, s, names), None)
         if s2 is None:
             return f"preconditions of {format_term(action)} unsatisfied"
         dels = [substitute(d, s2) for d in fresh.dels]
@@ -326,6 +330,6 @@ def replay(
         here = (here - frozenset(dels)) | frozenset(
             substitute(a, s2) for a in fresh.adds
         )
-    if next(_holds(goal, here, kb.rules, Substitution()), None) is None:
+    if next(_holds(goal, here, kb.rules, Substitution(), names), None) is None:
         return "final situation does not satisfy the goal"
     return None

@@ -1,12 +1,11 @@
 """Command-line interface, exercised in process."""
 
-import itertools
 import json
 
 import pytest
 
 import incidentgen
-from incidentgen import IncidentgenError, __version__, terms
+from incidentgen import IncidentgenError, __version__
 from incidentgen.cli import SEPARATOR, main
 from incidentgen.kb import aviation_kb_path, data_path
 
@@ -136,6 +135,18 @@ def test_replay_reproduces_the_run(run, tmp_path):
     assert replayed == direct
 
 
+def test_replay_of_another_version_warns_and_still_replays(run, tmp_path):
+    current = _manifest_file(tmp_path, "current.json", mode="seed", seed=11, count=3)
+    older = _manifest_file(tmp_path, "older.json", mode="seed", seed=11, count=3, version="0.0.0")
+    code, expected, err = run("generate", "--replay", str(current))
+    assert (code, err) == (0, "")
+    assert run("generate", "--replay", str(older)) == (
+        0,
+        expected,
+        f"warning: replaying a 0.0.0 manifest with {__version__}\n",
+    )
+
+
 def test_replay_rejects_garbage(run, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"manifest": 7}')
@@ -209,7 +220,7 @@ def test_plan_constant_scorer_changes_selection(run, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [(), ("--all",)])
-def test_an_action_skipped_by_the_planner_keeps_its_fresh_names(run, tmp_path, monkeypatch, flags):
+def test_an_action_skipped_by_the_planner_keeps_its_fresh_names(run, tmp_path, flags):
     # b cannot reach the goal and is never renamed, but it still takes
     # _G1, so the names a run prints do not depend on what was skipped
     kb = tmp_path / "two.kb"
@@ -219,8 +230,35 @@ def test_an_action_skipped_by_the_planner_keeps_its_fresh_names(run, tmp_path, m
         "init { s; }\n"
         "goal r(d).\n"
     )
-    monkeypatch.setattr(terms, "_fresh_counter", itertools.count(1))
     assert run("plan", "--kb", str(kb), *flags) == (0, "a(_G2)\nquality: 90\n", "")
+
+
+KB1 = (
+    'action a(X) {pre: s; add: pa; text: "a";}\n'
+    'action b(Y) {pre: pa; add: done; text: "b";}\n'
+    'action c(Y) {pre: pa; add: done; text: "c";}\n'
+    "init {s;}\n"
+    "goal done.\n"
+)
+
+
+def test_every_incident_of_a_batch_plans_afresh(run, tmp_path):
+    # the plan a(_G4), c(_G3) wins on term order among its _G names, so
+    # the names must not depend on how many incidents came before
+    kb = tmp_path / "kb1.kb"
+    kb.write_text(KB1)
+    code, out, err = run("generate", "--kb", str(kb), "--count", "30", "--prob", "0")
+    assert (code, err) == (0, "")
+    assert out.split(SEPARATOR + "\n") == ["a\nc\n"] * 30
+
+
+def test_a_goal_with_fresh_names_keeps_them_apart(run, tmp_path):
+    # the goal's _G2 is an input: the planner's own names start above it
+    kb = tmp_path / "kb3.kb"
+    kb.write_text(
+        'action a(X) {pre: s; add: q(f(X)); text: "a";}\ninit {s;}\ngoal q(f(b)).\n'
+    )
+    assert run("plan", "--kb", str(kb), "--goal", "q(_G2)") == (0, "a(_G3)\nquality: 90\n", "")
 
 
 def test_plan_length_budget_failure(run):
@@ -491,6 +529,23 @@ def _adversary_collides(tmp_path):
     )
 
 
+def _adversary_fails_validation(tmp_path):
+    path = tmp_path / "jam.kb"
+    path.write_text(
+        "action jam(Airplane) {\n"
+        "  pre: alocation(Airplane, near(chicago));\n"
+        "  add: jammed(Whatever);\n"
+        '  text: "Someone jammed {Thing}.";\n'
+        "}\n"
+    )
+    return ["forward", "--adversary", str(path), "--depth", "24"], (
+        f"{path}:1:1: error: uninstantiated add: variable Whatever of jam/1 is bound "
+        "by neither head nor preconditions\n"
+        f"{path}:1:1: error: template placeholder {{Thing}} of jam/1 is bound by "
+        "neither head nor preconditions\n"
+    )
+
+
 def _plan_kb_without_goal(tmp_path):
     path = data_path("saboteur.kb")
     return ["plan", "--kb", str(path)], f"{path}:17:1: error: missing goal declaration\n"
@@ -515,6 +570,7 @@ def _forward_kb_without_goal(tmp_path):
         _replay_bad_injection,
         _kb_not_utf8,
         _adversary_collides,
+        _adversary_fails_validation,
         _plan_kb_without_goal,
         _forward_kb_without_goal,
     ],

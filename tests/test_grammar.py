@@ -132,6 +132,15 @@ def test_dead_end_report_names_the_weather_response(incident_grammar):
     assert dead == [parse_term("response(bad_weather(stormy))")]
 
 
+def test_expansion_names_start_above_the_symbols_own():
+    # the symbol's _G1 is an input; renamed to _G1 as well, the
+    # production's X would fail the occurs check
+    grammar = parse_grammar("start(f(X)) --> [x(X)].")
+    symbol = parse_term("start(_G1)")
+    assert enumerate_expansions(grammar, symbol) == [[parse_term("x(_G2)")]]
+    assert expand(grammar, symbol, RngState.table()) == [parse_term("x(_G2)")]
+
+
 def test_loops_prune_silently():
     loop = parse_grammar("a --> a.")
     assert enumerate_expansions(loop, parse_term("a")) == []

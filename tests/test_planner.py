@@ -3,10 +3,14 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import backward_plan_set, replay
 
 from incidentgen import (
+    FreshNames,
     MissingDeleteFactError,
+    NoPlanFoundError,
     Plan,
     PlannerConfig,
     PlanStep,
@@ -14,8 +18,10 @@ from incidentgen import (
     Substitution,
     UnknownScorerError,
     Variable,
+    applicable_happenings,
     apply_effects,
     enumerate_plans,
+    format_term,
     generate_incident,
     iter_satisfying,
     make_best_plan,
@@ -23,6 +29,7 @@ from incidentgen import (
     parse_term,
     plan_quality,
     plan_sort_key,
+    revise_goal,
     substitute,
     term_key,
     unify,
@@ -114,7 +121,7 @@ def test_facts_are_tried_in_term_order(goal, loose):
 
 
 def achieving(event, goal, rules=()):
-    return [s for s, _ in _achieves_iter(event, goal, rules, Substitution())]
+    return [s for s, _ in _achieves_iter(event, goal, rules, Substitution(), FreshNames())]
 
 
 def test_achieves_via_add_list_binding(kb):
@@ -419,3 +426,90 @@ def test_planner_renames_only_clauses_that_can_match(kb, monkeypatch, work, expe
         monkeypatch.setattr(planner, name, counted)
     work(kb)
     assert counts == expected
+
+
+# ------------------------------------------------------------ fresh names
+
+
+def test_the_same_query_gets_the_same_plan_every_time():
+    # term order breaks the tie between b and c by their _G names, so
+    # those must not depend on how many names earlier queries took
+    kb1 = parse_kb(
+        'action a(X) {pre: s; add: pa; text: "a";}'
+        'action b(Y) {pre: pa; add: done; text: "b";}'
+        'action c(Y) {pre: pa; add: done; text: "c";}'
+        "init {s;} goal done."
+    )
+    for _ in range(25):
+        plan = make_best_plan(kb1.goal, kb1.init, kb1).plan
+        assert [format_term(a) for a in plan.actions] == ["a(_G4)", "c(_G3)"]
+
+
+def test_fresh_names_never_capture_a_query_input():
+    # each query's own names start above the _G names in its inputs; at
+    # _G1 every case below would fail the occurs check instead
+    kb = parse_kb(
+        "action a(X) {pre: s; add: q(f(X));}"
+        "happening h(Z) {pre: pa(f(Z));}"
+        "happening g(Z, W) {pre: p(Z);}"
+        "rule p(f(Y)) :- s."
+        "revise q(f(X)) when s => r(X)."
+        "init {s;} goal q(f(b))."
+    )
+    plan = make_best_plan(parse_term("q(_G2)"), kb.init, kb).plan
+    assert plan.actions == (parse_term("a(_G3)"),)
+    [solution] = iter_satisfying([parse_term("p(_G1)")], kb.init, kb.rules)
+    assert substitute(parse_term("_G1"), solution) == parse_term("f(_G2)")
+    assert applicable_happenings(kb.init | facts("pa(_G1)"), kb) == [
+        parse_term("h(_G2)"),
+        parse_term("g(f(_G5), _G4)"),
+    ]
+    # one query, one scope: the rule proving g's precondition takes its
+    # name after g's own, and W stays apart from the renamed rule's Y
+    assert applicable_happenings(kb.init, kb) == [parse_term("g(f(_G4), _G3)")]
+    assert revise_goal(kb.init, parse_term("q(_G1)"), kb) == (
+        parse_term("r(_G2)"),
+        parse_term("s"),
+    )
+
+
+_PRE = ("s", "t", "p(X)", "q(X)", "p(k)", "q(Y)")
+_ADD = ("t", "done", "p(X)", "q(X)", "p(f(X))", "r(X, Y)")
+_RULES = ("done :- p(Z), q(Z)", "r(Z, W) :- q(Z)", "t :- p(f(Z))")
+_GOALS = ("done", "t", "p(k)", "r(k, k)", "q(f(k))", "r(k, V)")
+
+
+@st.composite
+def nonground_kbs(draw):
+    """Small KBs whose actions leave head variables open, so plans carry
+    _G names, with rules that rename their own variables as well."""
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        head = draw(st.sampled_from(("X", "X, Y")))
+        pre = draw(st.lists(st.sampled_from(_PRE), max_size=2, unique=True))
+        add = draw(st.lists(st.sampled_from(_ADD), min_size=1, max_size=2, unique=True))
+        pre_text = f"pre: {', '.join(pre)}; " if pre else ""
+        lines.append(f"action a{i}({head}) {{{pre_text}add: {', '.join(add)};}}")
+    for rule in draw(st.lists(st.sampled_from(_RULES), max_size=2, unique=True)):
+        lines.append(f"rule {rule}.")
+    init = ["s", *draw(st.lists(st.sampled_from(("p(k)", "q(m)")), unique=True))]
+    lines.append(f"init {{{'; '.join(init)};}}")
+    lines.append(f"goal {draw(st.sampled_from(_GOALS))}.")
+    return parse_kb("\n".join(lines))
+
+
+def _outcome(query):
+    try:
+        return query()
+    except NoPlanFoundError as err:
+        return ("no plan", format_term(err.goal))
+
+
+@given(nonground_kbs())
+def test_a_query_asked_twice_gets_the_same_answer(kb):
+    cfg = PlannerConfig(max_plan_length=4)
+    for query in (
+        lambda: make_best_plan(kb.goal, kb.init, kb, cfg),
+        lambda: enumerate_plans(kb.goal, kb.init, kb, cfg),
+    ):
+        assert _outcome(query) == _outcome(query)

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from incidentgen import (
     Atom,
     Compound,
+    FreshNames,
     Substitution,
     Variable,
     format_term,
+    fresh_floor,
     ground,
     occurs_in,
     parse_term,
-    rename_fresh,
-    rename_fresh_all,
     substitute,
     term_key,
     unify,
@@ -97,18 +97,33 @@ def test_format_round_trip():
         assert parse_term(format_term(parse_term(text))) == parse_term(text)
 
 
-def test_rename_fresh_is_consistent_within_a_term():
-    renamed = rename_fresh(parse_term("f(X, g(X, Y))"))
+def test_fresh_names_are_consistent_within_a_term():
+    [(renamed,)] = FreshNames().rename((parse_term("f(X, g(X, Y))"),))
     got = variables(renamed)
     assert len(set(got)) == 2
     assert renamed.args[0] == renamed.args[1].args[0]
     assert not set(got) & {Variable("X"), Variable("Y")}
 
 
-def test_rename_fresh_all_shares_one_mapping():
-    left, right = rename_fresh_all([parse_term("f(X)"), parse_term("g(X, Y)")])
+def test_fresh_names_share_one_mapping_across_groups():
+    names = FreshNames()
+    (left,), (right,) = names.rename((parse_term("f(X)"),), (parse_term("g(X, Y)"),))
     assert left.args[0] == right.args[0]
     assert left.args[0] != right.args[1]
+    [(again,)] = names.rename((parse_term("f(X)"),))
+    assert again.args[0] not in variables(left) + variables(right)
+
+
+def test_fresh_names_count_from_above_the_floor():
+    inputs = [parse_term(t) for t in ("p(_G7, _G12x, _Gx)", "q(_G3)", "G99", "r(_G)")]
+    assert fresh_floor(inputs) == 7
+    assert fresh_floor([parse_term("p(X, a)")]) == 0
+    names = FreshNames(fresh_floor(inputs))
+    [(first,)] = names.rename((parse_term("f(X, Y)"),))
+    names.reserve(3)
+    [(second,)] = names.rename((parse_term("g(X)"),))
+    assert format_term(first) == "f(_G8, _G9)"
+    assert format_term(second) == "g(_G13)"
 
 
 def test_substitution_is_immutable_mapping():
@@ -133,7 +148,8 @@ def test_match_screen_passes_every_pair_that_unifies(goal, clause, left, right):
     # with the clause renamed apart, under bindings that unify made
     s = unify(left, right) or Substitution()
     for raw in (clause, goal):
-        if unify(goal, rename_fresh(raw), s) is not None:
+        [(renamed,)] = FreshNames(fresh_floor([goal, left, right])).rename((raw,))
+        if unify(goal, renamed, s) is not None:
             assert _may_unify(goal, raw, s)
 
 
@@ -150,6 +166,6 @@ def test_term_order_transitive(a, b, c):
 
 @given(terms)
 def test_fresh_rename_preserves_shape(t):
-    renamed = rename_fresh(t)
+    [(renamed,)] = FreshNames().rename((t,))
     assert ground(t) == ground(renamed)
     assert unify(t, renamed) is not None
