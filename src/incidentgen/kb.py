@@ -13,15 +13,18 @@ import importlib.resources
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .terms import (
+    CompiledClause,
     Compound,
     FreshNames,
     IncidentgenError,
+    Substitution,
     Term,
-    count_variables,
+    _may_unify,
     format_term,
+    signature,
     unify,
 )
 
@@ -117,9 +120,14 @@ class EventDef:
         return len(self.head.args) if isinstance(self.head, Compound) else 0
 
     @cached_property
+    def compiled(self) -> CompiledClause:
+        """The clause compiled once for ``fresh_event``."""
+        return CompiledClause((self.head,), self.pcs, self.dels, self.adds)
+
+    @property
     def fresh_width(self) -> int:
-        """Fresh names ``fresh_event`` takes, counted once per clause."""
-        return count_variables((self.head, *self.pcs, *self.dels, *self.adds))
+        """Fresh names ``fresh_event`` takes."""
+        return self.compiled.width
 
 
 @dataclass(frozen=True)
@@ -131,9 +139,14 @@ class DerivationRule:
     pos: Optional[SourcePos] = field(default=None, compare=False)
 
     @cached_property
+    def compiled(self) -> CompiledClause:
+        """The clause compiled once for ``fresh_rule``."""
+        return CompiledClause((self.head,), self.body)
+
+    @property
     def fresh_width(self) -> int:
-        """Fresh names ``fresh_rule`` takes, counted once per clause."""
-        return count_variables((self.head, *self.body))
+        """Fresh names ``fresh_rule`` takes."""
+        return self.compiled.width
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,30 @@ class RevisionRule:
     pos: Optional[SourcePos] = field(default=None, compare=False)
 
     @cached_property
+    def compiled(self) -> CompiledClause:
+        """The clause compiled once for ``fresh_revision``."""
+        return CompiledClause((self.old, self.trigger, self.new))
+
+    @property
     def fresh_width(self) -> int:
-        """Fresh names ``fresh_revision`` takes, counted once per clause."""
-        return count_variables((self.old, self.trigger, self.new))
+        """Fresh names ``fresh_revision`` takes."""
+        return self.compiled.width
+
+
+class Rooted(NamedTuple):
+    """What may meet a goal of one signature, in declaration order.
+
+    ``rules`` are the rules whose head's root matches the goal's (a
+    variable root matches any), and ``width`` the fresh names they take
+    together. ``actions`` pairs each action with its root-matching adds
+    and with the positions in ``rules`` of the rules whose every body
+    literal may match one of its adds. ``events`` are the events whose
+    head's root matches."""
+
+    rules: tuple[DerivationRule, ...]
+    width: int
+    actions: tuple[tuple[EventDef, tuple[Term, ...], tuple[int, ...]], ...]
+    events: tuple[EventDef, ...]
 
 
 @dataclass(frozen=True)
@@ -159,13 +193,47 @@ class KnowledgeBase:
     init: Situation = frozenset()
     goal: Optional[Term] = None
 
-    @property
+    @cached_property
     def actions(self) -> tuple[EventDef, ...]:
         return tuple(e for e in self.events if e.kind == "action")
 
-    @property
+    @cached_property
     def happenings(self) -> tuple[EventDef, ...]:
         return tuple(e for e in self.events if e.kind == "happening")
+
+    @cached_property
+    def _rooted(self) -> dict[Optional[tuple[str, int]], Rooted]:
+        return {}
+
+    def rooted(self, sig: Optional[tuple[str, int]]) -> Rooted:
+        """The clauses that may meet a goal of signature ``sig`` (None for
+        a variable goal), worked out on first use and kept."""
+        found = self._rooted.get(sig)
+        if found is not None:
+            return found
+
+        def meets(term: Term) -> bool:
+            root = signature(term)
+            return sig is None or root is None or root == sig
+
+        anything = Substitution()  # leaves both sides' variables free
+        rules = tuple(r for r in self.rules if meets(r.head))
+        actions = tuple(
+            (
+                event,
+                tuple(a for a in event.adds if meets(a)),
+                tuple(
+                    i
+                    for i, rule in enumerate(rules)
+                    if all(any(_may_unify(b, a, anything) for a in event.adds) for b in rule.body)
+                ),
+            )
+            for event in self.actions
+        )
+        events = tuple(e for e in self.events if meets(e.head))
+        found = Rooted(rules, sum(r.fresh_width for r in rules), actions, events)
+        self._rooted[sig] = found
+        return found
 
     def match_event(self, term: Term, kind: Optional[str] = None):
         """First event definition whose head unifies with ``term``.
@@ -175,7 +243,7 @@ class KnowledgeBase:
         template slot names to the bindings; pass a ground ``term`` to
         avoid capturing its variables.
         """
-        for event in self.events:
+        for event in self.rooted(signature(term)).events:
             if kind is not None and event.kind != kind:
                 continue
             subst = unify(event.head, term)
@@ -186,17 +254,17 @@ class KnowledgeBase:
 
 def fresh_event(event: EventDef, names: FreshNames) -> EventDef:
     """Copy an event with its variables renamed apart in ``names``."""
-    (head,), pcs, dels, adds = names.rename((event.head,), event.pcs, event.dels, event.adds)
+    (head,), pcs, dels, adds = event.compiled.instantiate(names)
     return EventDef(event.kind, head, pcs, dels, adds, event.template, event.pos)
 
 
 def fresh_rule(rule: DerivationRule, names: FreshNames) -> DerivationRule:
-    (head,), body = names.rename((rule.head,), rule.body)
+    (head,), body = rule.compiled.instantiate(names)
     return DerivationRule(head, body, rule.pos)
 
 
 def fresh_revision(rule: RevisionRule, names: FreshNames) -> RevisionRule:
-    [(old, trigger, new)] = names.rename((rule.old, rule.trigger, rule.new))
+    [(old, trigger, new)] = rule.compiled.instantiate(names)
     return RevisionRule(old, trigger, new, rule.pos)
 
 

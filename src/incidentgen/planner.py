@@ -12,18 +12,21 @@ win, the best-plan search lowers the bound to each plan it finds.
 The search asks three questions of the world: does a fact hold (by
 membership or through a rule, ``iter_satisfying``), which additions of
 an action reach the goal, and which facts its delete patterns remove.
-The last two pair patterns with distinct facts through one matcher, and
-each way of pairing them is a separate branch.
+The last two pair patterns with distinct facts, and each way of pairing
+them is a separate branch.
 
-Work that cannot succeed is skipped. A clause (action or rule) is
-renamed apart only if a deep screen finds that it may unify with the
-goal, and each situation is sorted into term order, grouped by
-signature and scanned for its highest ``_G`` name once, so a goal is
-tried only against facts of its own signature. Each query takes fresh
-names from its own scope, counted from above those in its inputs. They
-are visible output: a clause whose root matches but which the screen
-skips still takes its block of names, so every name, and every
-tie-break by term order, is as if it had been renamed.
+Work that cannot succeed is skipped. The knowledge base lists, per goal
+signature, the clauses whose root may meet it (``KnowledgeBase.rooted``).
+A rule is renamed apart only if a deep screen finds that its head may
+unify with the goal, and an action only if one of its adds may, or if
+its adds may feed the body of such a rule. Each situation is sorted
+into term order, grouped by signature and scanned for its highest
+``_G`` name once, so a goal or a delete pattern is tried only against
+facts of its own signature. Each query takes fresh names from its own
+scope, counted from above those in its inputs. They are visible output:
+a clause whose root matches but which the screen skips still takes its
+block of names, so every name, and every tie-break by term order, is as
+if it had been renamed.
 
 Each plan step records the subgoal it was chosen to achieve and the
 step that needed that subgoal, so a finished plan can be read backwards
@@ -38,13 +41,12 @@ from typing import Iterator, Optional, Sequence
 
 from .kb import DerivationRule, EventDef, KnowledgeBase, Situation, fresh_event, fresh_rule
 from .terms import (
-    Atom,
     Compound,
     FreshNames,
     IncidentgenError,
     Substitution,
     Term,
-    Variable,
+    _may_unify,
     format_term,
     fresh_floor,
     signature,
@@ -158,54 +160,18 @@ def plan_sort_key(plan: Plan) -> tuple:
 # ---------------------------------------------------------------- satisfied
 
 
-def _same_root(seen: Term, raw: Term) -> bool:
-    # roots that do not clash. A clause that passes this test takes its
-    # block of fresh names whether or not the deep screen lets it be
-    # renamed, so the names, which are visible output, do not depend on
-    # how deep the screen looks
-    if isinstance(seen, Variable) or isinstance(raw, Variable):
-        return True
-    if isinstance(seen, Atom) or isinstance(raw, Atom):
-        return seen == raw
-    return seen.functor == raw.functor and len(seen.args) == len(raw.args)
-
-
-def _may_unify(goal: Term, raw: Term, subst: Substitution) -> bool:
-    # deep screen before paying for a fresh rename: ``raw`` is a clause
-    # term not yet renamed apart, so its variables match anything, and
-    # the goal side is walked through ``subst``. False means that no
-    # renaming of ``raw`` unifies with the goal
-    if isinstance(raw, Variable):
-        return True
-    goal = subst.walk(goal)
-    if isinstance(goal, Variable):
-        return True
-    if isinstance(goal, Atom):
-        return isinstance(raw, Atom) and goal.name == raw.name
-    if not (
-        isinstance(raw, Compound)
-        and goal.functor == raw.functor
-        and len(goal.args) == len(raw.args)
-    ):
-        return False
-    for g, r in zip(goal.args, raw.args):
-        if not _may_unify(g, r, subst):
-            return False
-    return True
-
-
 def _renamed_rules(
-    seen: Term, rules: Sequence[DerivationRule], subst: Substitution, names: FreshNames
+    seen: Term, kb: KnowledgeBase, subst: Substitution, names: FreshNames
 ) -> Iterator[tuple[DerivationRule, DerivationRule]]:
-    # each rule whose head may unify with the walked goal, renamed apart;
-    # one whose root matches but whose head cannot unify only takes its
-    # block of names
-    for rule in rules:
-        if _same_root(seen, rule.head):
-            if _may_unify(seen, rule.head, subst):
-                yield rule, fresh_rule(rule, names)
-            else:
-                names.reserve(rule.fresh_width)
+    # each rule whose head may unify with the walked goal, renamed apart.
+    # One whose root matches but whose head cannot unify only takes its
+    # block of names, so the names, which are visible output, do not
+    # depend on how deep the screen looks
+    for rule in kb.rooted(signature(seen)).rules:
+        if _may_unify(seen, rule.head, subst):
+            yield rule, fresh_rule(rule, names)
+        else:
+            names.reserve(rule.fresh_width)
 
 
 @lru_cache(maxsize=128)
@@ -240,7 +206,7 @@ def _facts_matching(seen: Term, sitn: Situation) -> Sequence[Term]:
 def _satisfied_iter(
     goal: Term,
     sitn: Situation,
-    rules: Sequence[DerivationRule],
+    kb: KnowledgeBase,
     subst: Substitution,
     names: FreshNames,
     depth: int = _MAX_RULE_DEPTH,
@@ -252,16 +218,16 @@ def _satisfied_iter(
             yield extended
     if depth <= 0:
         return
-    for _, fresh in _renamed_rules(seen, rules, subst, names):
+    for _, fresh in _renamed_rules(seen, kb, subst, names):
         extended = unify(goal, fresh.head, subst)
         if extended is not None:
-            yield from _satisfied_seq(fresh.body, sitn, rules, extended, names, depth - 1)
+            yield from _satisfied_seq(fresh.body, sitn, kb, extended, names, depth - 1)
 
 
 def _satisfied_seq(
     goals: Sequence[Term],
     sitn: Situation,
-    rules: Sequence[DerivationRule],
+    kb: KnowledgeBase,
     subst: Substitution,
     names: FreshNames,
     depth: int = _MAX_RULE_DEPTH,
@@ -269,8 +235,8 @@ def _satisfied_seq(
     if not goals:
         yield subst
         return
-    for extended in _satisfied_iter(goals[0], sitn, rules, subst, names, depth):
-        yield from _satisfied_seq(goals[1:], sitn, rules, extended, names, depth)
+    for extended in _satisfied_iter(goals[0], sitn, kb, subst, names, depth):
+        yield from _satisfied_seq(goals[1:], sitn, kb, extended, names, depth)
 
 
 def iter_satisfying(
@@ -287,17 +253,16 @@ def iter_satisfying(
     """
     facts, subst = tuple(facts), subst or Substitution()
     names = _scope(sitn, *facts, *subst, *subst.values())
-    yield from _satisfied_seq(facts, sitn, rules, subst, names)
+    yield from _satisfied_seq(facts, sitn, KnowledgeBase(rules=tuple(rules)), subst, names)
 
 
 def _match_distinct(
     patterns: Sequence[Term], pool: Sequence[Term], subst: Substitution
-) -> Iterator[tuple[Substitution, Sequence[Term]]]:
+) -> Iterator[Substitution]:
     # each pattern unifies with a distinct pool member, tried in pool
-    # order; every pairing is a separate solution, which comes with the
-    # pool members left unpaired
+    # order; every pairing is a separate solution
     if not patterns:
-        yield subst, pool
+        yield subst
         return
     for i, candidate in enumerate(pool):
         extended = unify(patterns[0], candidate, subst)
@@ -306,13 +271,29 @@ def _match_distinct(
             yield from _match_distinct(patterns[1:], rest, extended)
 
 
+def _match_deletes(
+    patterns: Sequence[Term], sitn: Situation, subst: Substitution, paired: tuple[Term, ...] = ()
+) -> Iterator[tuple[Substitution, tuple[Term, ...]]]:
+    # the same over a situation: each pattern is tried only against the
+    # facts of its walked signature, in term order, skipping those already
+    # paired; every pairing comes with the facts it paired
+    if not patterns:
+        yield subst, paired
+        return
+    for fact in _facts_matching(subst.walk(patterns[0]), sitn):
+        if fact not in paired:
+            extended = unify(patterns[0], fact, subst)
+            if extended is not None:
+                yield from _match_deletes(patterns[1:], sitn, extended, (*paired, fact))
+
+
 # ----------------------------------------------------------------- achieves
 
 
 def _achieves_iter(
     event: EventDef,
     goal: Term,
-    rules: Sequence[DerivationRule],
+    kb: KnowledgeBase,
     subst: Substitution,
     names: FreshNames,
 ) -> Iterator[tuple[Substitution, Optional[DerivationRule]]]:
@@ -322,11 +303,11 @@ def _achieves_iter(
         extended = unify(goal, add, subst)
         if extended is not None:
             yield extended, None
-    for rule, fresh in _renamed_rules(subst.walk(goal), rules, subst, names):
+    for rule, fresh in _renamed_rules(subst.walk(goal), kb, subst, names):
         extended = unify(goal, fresh.head, subst)
         if extended is None:
             continue
-        for solution, _ in _match_distinct(fresh.body, event.adds, extended):
+        for solution in _match_distinct(fresh.body, event.adds, extended):
             yield solution, rule
 
 
@@ -379,7 +360,7 @@ def _plan(
     # already true: one empty plan per satisfying substitution, and the
     # action case is then blocked entirely
     satisfied_any = False
-    for extended in _satisfied_iter(goal, sitn, kb.rules, subst, search.names):
+    for extended in _satisfied_iter(goal, sitn, kb, subst, search.names):
         satisfied_any = True
         yield [], sitn, extended
     if satisfied_any or used >= search.bound:
@@ -391,28 +372,26 @@ def _plan(
     new_stack = (goal, *stack)
     seen = subst.walk(goal)
     # renaming an action's variables is the hot path; skip any action
-    # whose add list cannot reach the goal, directly or via a rule head.
-    # If an add or a rule head shares the goal's root, a skipped action
-    # still takes the names that renaming it and those rules would take
-    rooted = [r for r in kb.rules if _same_root(seen, r.head)]
-    by_rule = any(_may_unify(seen, r.head, subst) for r in rooted)
-    rooted_width = sum(r.fresh_width for r in rooted)
-    for event in kb.actions:
-        roots = [a for a in event.adds if _same_root(seen, a)]
-        if not by_rule and not any(_may_unify(seen, a, subst) for a in roots):
-            if rooted or roots:
-                search.names.reserve(event.fresh_width + rooted_width)
+    # that can reach the goal neither by an add nor by feeding the body
+    # of a rule whose head may unify with it. If an add or a rule head
+    # shares the goal's root, a skipped action still takes the names
+    # that renaming it and those rules would take
+    rooted = kb.rooted(signature(seen))
+    live = [_may_unify(seen, r.head, subst) for r in rooted.rules]
+    for event, roots, users in rooted.actions:
+        if not any(live[i] for i in users) and not any(_may_unify(seen, a, subst) for a in roots):
+            if rooted.rules or roots:
+                search.names.reserve(event.fresh_width + rooted.width)
             continue
         fresh = fresh_event(event, search.names)
-        for achieved, via_rule in _achieves_iter(fresh, goal, kb.rules, subst, search.names):
+        for achieved, via_rule in _achieves_iter(fresh, goal, kb, subst, search.names):
             for pre_recs, mid_sitn, mid_subst in _plan_seq(
                 fresh.pcs, sitn, new_stack, achieved, used + 1, kb, search
             ):
                 # delete patterns unify against situation facts, and each
                 # way of pairing them up is a separate branch
                 dels = [substitute(d, mid_subst) for d in fresh.dels]
-                facts = _indexed(mid_sitn)[0]
-                for del_subst, kept in _match_distinct(dels, facts, mid_subst):
+                for del_subst, paired in _match_deletes(dels, mid_sitn, mid_subst):
                     adds = frozenset(substitute(a, del_subst) for a in fresh.adds)
                     this_id = search.next_id
                     search.next_id += 1
@@ -430,7 +409,7 @@ def _plan(
                         for r in pre_recs
                     ]
                     recs.append(_Rec(this_id, fresh.head, goal, via_rule, None))
-                    yield recs, frozenset(kept) | adds, del_subst
+                    yield recs, mid_sitn.difference(paired) | adds, del_subst
 
 
 def _plan_seq(

@@ -92,7 +92,7 @@ def _applicable_actions(
         fresh = fresh_event(event, names)
         found: list[tuple[Term, Situation]] = []
         seen: set[tuple] = set()
-        for solution in _satisfied_seq(fresh.pcs, sitn, kb.rules, Substitution(), names):
+        for solution in _satisfied_seq(fresh.pcs, sitn, kb, Substitution(), names):
             instance = substitute(fresh.head, solution)
             if not ground(instance):
                 continue

@@ -22,7 +22,6 @@ from .planner import (
     PlannerConfig,
     PlanStep,
     ScoredPlan,
-    _may_unify,
     _satisfied_seq,
     _scope,
     apply_effects,
@@ -34,6 +33,7 @@ from .terms import (
     IncidentgenError,
     Substitution,
     Term,
+    _may_unify,
     format_term,
     substitute,
     term_key,
@@ -126,7 +126,7 @@ def applicable_happenings(sitn: Situation, kb: KnowledgeBase) -> list[Term]:
         fresh = fresh_event(event, names)
         instances = {
             substitute(fresh.head, s)
-            for s in _satisfied_seq(fresh.pcs, sitn, kb.rules, Substitution(), names)
+            for s in _satisfied_seq(fresh.pcs, sitn, kb, Substitution(), names)
         }
         out.extend(sorted(instances, key=term_key))
     return out
@@ -153,7 +153,7 @@ def revise_goal(
         bound = unify(fresh.old, goal)
         if bound is None:
             continue
-        solution = next(_satisfied_seq([fresh.trigger], sitn, kb.rules, bound, names), None)
+        solution = next(_satisfied_seq([fresh.trigger], sitn, kb, bound, names), None)
         if solution is None:
             continue
         return substitute(fresh.new, solution), substitute(fresh.trigger, solution)

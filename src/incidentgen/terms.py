@@ -6,7 +6,10 @@ planning, simulation) manipulates these values, so determinism starts
 here: ``term_key`` defines one total order used whenever a set of terms
 or plans must be traversed in a reproducible sequence, and each query
 renames clauses apart in a ``FreshNames`` scope of its own, so no query
-depends on how many names an earlier one took.
+depends on how many names an earlier one took. A clause is renamed by a
+``CompiledClause``, built once per clause, and the hot functions
+(``unify``, ``substitute``, ``Substitution.walk``) dispatch on a term's
+exact class, so the three term classes are not meant to be subclassed.
 
 ``IncidentgenError``, the base of every error the package raises on
 purpose, lives here too: this is the lowest module, the one every
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 
@@ -102,32 +106,38 @@ class Substitution(Mapping[Variable, Term]):
         return f"Substitution({{{inner}}})"
 
     def bind(self, var: Variable, value: Term) -> "Substitution":
-        fresh = Substitution(self._map)
-        fresh._map[var] = value
+        fresh = object.__new__(Substitution)
+        mapping = self._map.copy()
+        mapping[var] = value
+        object.__setattr__(fresh, "_map", mapping)
         return fresh
 
     def walk(self, term: Term) -> Term:
         """Chase variable bindings at the top level only."""
-        seen = None
-        while isinstance(term, Variable):
-            value = self._map.get(term)
-            if value is None:
+        get = self._map.get
+        value = get(term) if type(term) is Variable else None
+        if value is None:
+            return term
+        if type(value) is not Variable:
+            return value
+        seen = {term}
+        term = value
+        while (value := get(term)) is not None:
+            if term in seen:  # defensive; bind() never creates cycles
                 break
-            if seen is None:
-                seen = {term}
-            elif term in seen:  # defensive; bind() never creates cycles
-                break
-            else:
-                seen.add(term)
+            seen.add(term)
             term = value
+            if type(term) is not Variable:
+                break
         return term
 
 
 def occurs_in(var: Variable, term: Term, subst: Substitution) -> bool:
     term = subst.walk(term)
-    if isinstance(term, Variable):
+    kind = type(term)
+    if kind is Variable:
         return term == var
-    if isinstance(term, Compound):
+    if kind is Compound:
         return any(occurs_in(var, arg, subst) for arg in term.args)
     return False
 
@@ -143,38 +153,69 @@ def unify(left: Term, right: Term, subst: Optional[Substitution] = None) -> Opti
 
 
 def _unify(a: Term, b: Term, s: Substitution) -> Optional[Substitution]:
-    a = s.walk(a)
-    b = s.walk(b)
-    if isinstance(a, Variable):
-        if isinstance(b, Variable) and a == b:
+    # dispatch on the exact type, walking each side only if it is a bound
+    # variable; an unbound variable never occurs in another one, so only
+    # a compound needs the occurs check
+    get = s._map.get
+    ta = type(a)
+    if ta is Variable and (bound := get(a)) is not None:
+        a = bound if type(bound) is not Variable else s.walk(a)
+        ta = type(a)
+    tb = type(b)
+    if tb is Variable and (bound := get(b)) is not None:
+        b = bound if type(bound) is not Variable else s.walk(b)
+        tb = type(b)
+    if ta is Variable:
+        if tb is Variable and a.name == b.name:
             return s
-        if occurs_in(a, b, s):
+        if tb is Compound and occurs_in(a, b, s):
             return None
         return s.bind(a, b)
-    if isinstance(b, Variable):
-        if occurs_in(b, a, s):
+    if tb is Variable:
+        if ta is Compound and occurs_in(b, a, s):
             return None
         return s.bind(b, a)
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return s if a.name == b.name else None
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        if a.functor != b.functor or len(a.args) != len(b.args):
+    if ta is Atom:
+        return s if tb is Atom and a.name == b.name else None
+    if tb is not Compound or a.functor != b.functor or len(a.args) != len(b.args):
+        return None
+    for x, y in zip(a.args, b.args):
+        s = _unify(x, y, s)
+        if s is None:
             return None
-        for x, y in zip(a.args, b.args):
-            result = _unify(x, y, s)
-            if result is None:
-                return None
-            s = result
-        return s
-    return None
+    return s
 
 
 def substitute(term: Term, subst: Substitution) -> Term:
     """Apply a substitution throughout a term."""
-    term = subst.walk(term)
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(substitute(arg, subst) for arg in term.args))
+    if type(term) is Variable:
+        term = subst.walk(term)
+    if type(term) is Compound:
+        return Compound(term.functor, tuple([substitute(arg, subst) for arg in term.args]))
     return term
+
+
+def _may_unify(goal: Term, raw: Term, subst: Substitution) -> bool:
+    # deep screen before paying for a fresh rename: ``raw`` is a clause
+    # term not yet renamed apart, so its variables match anything, and
+    # the goal side is walked through ``subst`` (with an empty one, the
+    # goal's variables match anything too). False means that no renaming
+    # of ``raw`` unifies with the goal
+    kind = type(raw)
+    if kind is Variable:
+        return True
+    goal = subst.walk(goal)
+    seen = type(goal)
+    if seen is Variable:
+        return True
+    if seen is Atom:
+        return kind is Atom and goal.name == raw.name
+    if kind is not Compound or goal.functor != raw.functor or len(goal.args) != len(raw.args):
+        return False
+    for g, r in zip(goal.args, raw.args):
+        if not _may_unify(g, r, subst):
+            return False
+    return True
 
 
 def term_key(term: Term):
@@ -256,26 +297,85 @@ class FreshNames:
         one it would have been (the WAM's offset per call)."""
         self._next += count
 
+    def take(self, count: int) -> list[Variable]:
+        """The next ``count`` names, as variables."""
+        first = self._next
+        self._next = first + count
+        return [Variable(f"_G{n}") for n in range(first, first + count)]
+
     def rename(self, *groups: Iterable[Term]) -> list[tuple[Term, ...]]:
         """Copy groups of terms with every variable renamed to a new name.
         The groups share one mapping, so a whole clause (head plus body
         lists) keeps its variable links; two calls share no variables."""
-        mapping: dict[Variable, Variable] = {}
-        def copy(term: Term) -> Term:
-            if isinstance(term, Variable):
-                fresh = mapping.get(term)
-                if fresh is None:
-                    fresh = mapping[term] = Variable(f"_G{self._next}")
-                    self._next += 1
-                return fresh
-            if isinstance(term, Compound):
-                return Compound(term.functor, tuple([copy(a) for a in term.args]))
-            return term
-
-        return [tuple([copy(t) for t in group]) for group in groups]
+        return CompiledClause(*groups).instantiate(self)
 
 
-def count_variables(terms: Iterable[Term]) -> int:
-    """Distinct variables across several terms: the fresh names that
-    ``FreshNames.rename`` takes for them."""
-    return len({v for t in terms for v in variables(t)})
+def _gather(slots: list[int]):
+    # a function from the registers to the tuple of those at ``slots``
+    if len(slots) == 1:
+        [slot] = slots
+        return lambda registers: (registers[slot],)
+    return itemgetter(*slots) if slots else lambda registers: ()
+
+
+class CompiledClause:
+    """Groups of terms compiled once, to be renamed apart many times.
+
+    As in the WAM's compile-once clause code, a renamed copy is built by
+    a fixed program rather than by walking the terms: the registers hold
+    the fresh variables (numbered in first-occurrence order, as
+    ``FreshNames.rename`` numbers them), then the ground subterms, which
+    every copy shares, then each compound still to build, in post-order.
+    """
+
+    __slots__ = ("groups", "width", "_constants", "_code", "_outputs")
+
+    def __init__(self, *groups: Iterable[Term]) -> None:
+        self.groups = tuple(tuple(group) for group in groups)
+        slots: dict[Term, int] = {}
+        constants: list[Term] = []
+        built: set[int] = set()  # ids of the compounds that hold a variable
+
+        def scan(term: Term) -> bool:
+            # number the variables and collect the largest ground
+            # subterms; True if the term holds a variable
+            if type(term) is Variable:
+                slots.setdefault(term, len(slots))
+                return True
+            if type(term) is Atom:
+                return False
+            held = [scan(arg) for arg in term.args]
+            if not any(held):
+                return False
+            built.add(id(term))
+            constants.extend(arg for arg, var in zip(term.args, held) if not var)
+            return True
+
+        for group in self.groups:
+            constants.extend(term for term in group if not scan(term))
+        self.width = len(slots)
+        for term in constants:
+            slots.setdefault(term, len(slots))
+        self._constants = list(slots)[self.width :]
+        code: list[tuple[str, object]] = []
+
+        def slot(term: Term) -> int:
+            if id(term) not in built:
+                return slots[term]
+            code.append((term.functor, _gather([slot(arg) for arg in term.args])))
+            return len(slots) + len(code) - 1
+
+        self._outputs = [_gather([slot(term) for term in group]) for group in self.groups]
+        self._code = tuple(code)
+
+    def __reduce__(self):
+        return CompiledClause, self.groups
+
+    def instantiate(self, names: FreshNames) -> list[tuple[Term, ...]]:
+        """The groups with their variables renamed to the next ``width``
+        names of ``names``."""
+        registers = names.take(self.width)
+        registers += self._constants
+        for functor, args in self._code:
+            registers.append(Compound(functor, args(registers)))
+        return [output(registers) for output in self._outputs]

@@ -2,14 +2,18 @@
 
 Each oracle is written as plainly as possible, optimizing for being
 obviously correct over speed, and shares only the term layer with the
-code under test.
+code under test. That layer has references of its own at the top:
+unification, substitution and renaming over plain dicts, walking terms
+with ``isinstance`` and copying a clause term by term.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from incidentgen import (
+    Atom,
+    Compound,
     DerivationRule,
     EventDef,
     FreshNames,
@@ -19,6 +23,7 @@ from incidentgen import (
     Substitution,
     Term,
     TerminalList,
+    Variable,
     format_term,
     fresh_event,
     fresh_floor,
@@ -30,6 +35,78 @@ from incidentgen import (
 )
 
 _RULE_DEPTH = 16
+
+
+# ----------------------------------------------------------- term layer
+
+
+def walk(term: Term, subst: Mapping[Variable, Term]) -> Term:
+    """Chase variable bindings at the top level, stopping on a cycle."""
+    seen: set[Variable] = set()
+    while isinstance(term, Variable) and term in subst and term not in seen:
+        seen.add(term)
+        term = subst[term]
+    return term
+
+
+def occurs(var: Variable, term: Term, subst: Mapping[Variable, Term]) -> bool:
+    term = walk(term, subst)
+    if isinstance(term, Variable):
+        return term == var
+    if isinstance(term, Compound):
+        return any(occurs(var, arg, subst) for arg in term.args)
+    return False
+
+
+def unify_terms(
+    a: Term, b: Term, subst: Mapping[Variable, Term]
+) -> Optional[dict[Variable, Term]]:
+    """Unification with the occurs check; a new dict, or None."""
+    a, b = walk(a, subst), walk(b, subst)
+    if isinstance(a, Variable):
+        if isinstance(b, Variable) and a == b:
+            return dict(subst)
+        return None if occurs(a, b, subst) else {**subst, a: b}
+    if isinstance(b, Variable):
+        return None if occurs(b, a, subst) else {**subst, b: a}
+    if isinstance(a, Atom) and isinstance(b, Atom):
+        return dict(subst) if a.name == b.name else None
+    if isinstance(a, Compound) and isinstance(b, Compound):
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            return None
+        result: Optional[dict[Variable, Term]] = dict(subst)
+        for x, y in zip(a.args, b.args):
+            result = unify_terms(x, y, result)
+            if result is None:
+                return None
+        return result
+    return None
+
+
+def substitute_term(term: Term, subst: Mapping[Variable, Term]) -> Term:
+    term = walk(term, subst)
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(substitute_term(a, subst) for a in term.args))
+    return term
+
+
+def rename_groups(
+    groups: Sequence[Iterable[Term]], first: int
+) -> tuple[list[tuple[Term, ...]], int]:
+    """Copy groups of terms with one mapping, each new variable named
+    ``_G<n>`` from ``first`` up; also the next unused n."""
+    mapping: dict[Variable, Variable] = {}
+
+    def copy(term: Term) -> Term:
+        if isinstance(term, Variable):
+            if term not in mapping:
+                mapping[term] = Variable(f"_G{first + len(mapping)}")
+            return mapping[term]
+        if isinstance(term, Compound):
+            return Compound(term.functor, tuple(copy(a) for a in term.args))
+        return term
+
+    return [tuple(copy(t) for t in group) for group in groups], first + len(mapping)
 
 
 def _same_root(a: Term, b: Term) -> bool:

@@ -1,5 +1,6 @@
 """Term layer: unification, substitution, ordering, renaming."""
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +8,20 @@ from hypothesis import strategies as st
 from incidentgen import (
     Atom,
     Compound,
+    DerivationRule,
+    EventDef,
     FreshNames,
+    RevisionRule,
     Substitution,
     Variable,
+    data_path,
     format_term,
+    fresh_event,
     fresh_floor,
+    fresh_revision,
+    fresh_rule,
     ground,
+    load_kb,
     occurs_in,
     parse_term,
     substitute,
@@ -20,7 +29,7 @@ from incidentgen import (
     unify,
     variables,
 )
-from incidentgen.planner import _may_unify
+from incidentgen.terms import _may_unify
 
 atoms = st.sampled_from("a b c dallas engine".split()).map(Atom)
 variables_ = st.sampled_from("X Y Z Who".split()).map(Variable)
@@ -33,6 +42,17 @@ terms = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+@st.composite
+def substitutions(draw):
+    """Bindings as unification leaves them: each binds a variable not yet
+    bound to a term it does not occur in, so no chain is a cycle."""
+    bindings = {}
+    for var, value in draw(st.lists(st.tuples(variables_, terms), max_size=4)):
+        if var not in bindings and not oracles.occurs(var, value, bindings):
+            bindings[var] = value
+    return bindings
 
 
 def test_unify_binds_variable():
@@ -169,3 +189,85 @@ def test_fresh_rename_preserves_shape(t):
     [(renamed,)] = FreshNames().rename((t,))
     assert ground(t) == ground(renamed)
     assert unify(t, renamed) is not None
+
+
+# ------------------------------------------------ against the plain reference
+
+
+def _as_dict(subst):
+    return None if subst is None else dict(subst)
+
+
+@st.composite
+def alike(draw):
+    """Two terms of one shape, which often unify: the second is the first
+    with some subterms swapped for a variable or an atom."""
+
+    def vary(t):
+        if draw(st.integers(0, 3)) == 0:
+            return draw(variables_ | atoms)
+        if isinstance(t, Compound):
+            return Compound(t.functor, tuple(vary(arg) for arg in t.args))
+        return t
+
+    first = draw(terms)
+    return first, vary(first)
+
+
+@given(st.tuples(terms, terms) | alike(), substitutions())
+def test_unify_agrees_with_the_reference(pair, bindings):
+    a, b = pair
+    got = unify(a, b, Substitution(bindings))
+    assert _as_dict(got) == oracles.unify_terms(a, b, bindings)
+
+
+@given(variables_, terms, substitutions())
+def test_the_occurs_check_agrees_with_the_reference(var, t, bindings):
+    wrapped = Compound("f", (t, var))
+    for a, b in ((var, wrapped), (wrapped, var), (Compound("g", (var,)), t)):
+        got = unify(a, b, Substitution(bindings))
+        assert _as_dict(got) == oracles.unify_terms(a, b, bindings)
+
+
+@given(terms, substitutions())
+def test_substitute_agrees_with_the_reference(t, bindings):
+    assert substitute(t, Substitution(bindings)) == oracles.substitute_term(t, bindings)
+
+
+@given(st.lists(st.lists(terms, max_size=3), max_size=4), st.integers(0, 40))
+def test_rename_agrees_with_the_reference(groups, floor):
+    names = FreshNames(floor)
+    expected, after = oracles.rename_groups(groups, floor + 1)
+    assert names.rename(*groups) == expected
+    assert names.rename((Variable("Next"),)) == [(Variable(f"_G{after}"),)]
+
+
+def test_a_renamed_clause_shares_its_ground_subterms():
+    clause = parse_term("f(X, g(a, b), h(X, k(c)))")
+    [(renamed,)] = FreshNames().rename((clause,))
+    assert format_term(renamed) == "f(_G1, g(a, b), h(_G1, k(c)))"
+    assert renamed.args[1] is clause.args[1]
+    assert renamed.args[2].args[1] is clause.args[2].args[1]
+
+
+def _clause_groups(clause):
+    if isinstance(clause, EventDef):
+        return ((clause.head,), clause.pcs, clause.dels, clause.adds)
+    if isinstance(clause, DerivationRule):
+        return ((clause.head,), clause.body)
+    return ((clause.old, clause.trigger, clause.new),)
+
+
+_FRESH = {EventDef: fresh_event, DerivationRule: fresh_rule, RevisionRule: fresh_revision}
+
+
+@pytest.mark.parametrize("name", ["aviation.kb", "saboteur.kb"])
+def test_fresh_width_is_the_names_each_clause_takes(name):
+    kb = load_kb(data_path(name), require_init_goal=False)
+    for clause in (*kb.events, *kb.rules, *kb.revisions):
+        names = FreshNames(7)
+        renamed = _FRESH[type(clause)](clause, names)
+        expected, after = oracles.rename_groups(_clause_groups(clause), 8)
+        assert list(_clause_groups(renamed)) == expected
+        assert after == 8 + clause.fresh_width
+        assert names.rename((Variable("Next"),)) == [(Variable(f"_G{after}"),)]
