@@ -33,7 +33,7 @@ from .dsl import (
     parse_term,
     validate_kb,
 )
-from .grammar import enumerate_expansions, expand, find_dead_ends, load_grammar
+from .grammar import _expansions_and_dead_ends, expand, load_grammar
 from .kb import KnowledgeBase, aviation_kb_path, data_path
 from .narrate import STYLES, explain, format_explanation, render_event, render_story
 from .planner import (
@@ -270,9 +270,10 @@ def cmd_grammar(args) -> int:
     grammar = load_grammar(args.file)
     symbol = parse_term(args.symbol)
     if args.enumerate:
-        for seq in enumerate_expansions(grammar, symbol, max_depth=args.max_depth):
+        expansions, dead_ends = _expansions_and_dead_ends(grammar, symbol, args.max_depth)
+        for seq in expansions:
             print(" ".join(format_term(t) for t in seq))
-        for dead in find_dead_ends(grammar, symbol, max_depth=args.max_depth):
+        for dead in dead_ends:
             print(f"dead end: {format_term(dead)}", file=sys.stderr)
     else:
         rng = RngState.seeded(args.seed) if args.seed is not None else RngState.table()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .dsl import (
     Diagnostic,
@@ -157,15 +157,22 @@ def load_grammar(path) -> Grammar:
     return parse_grammar(path.read_text(), filename=str(path))
 
 
-def _fresh_production(p: Production, names: FreshNames) -> tuple[Term, tuple[BodyItem, ...]]:
-    (head,), *items = names.rename(
-        (p.head,), *(i.items if isinstance(i, TerminalList) else (i.term,) for i in p.body)
-    )
-    body = tuple(
-        TerminalList(terms) if isinstance(i, TerminalList) else NonterminalRef(terms[0])
-        for i, terms in zip(p.body, items)
-    )
-    return head, body
+def _matching(
+    grammar: Grammar, symbol: Term, subst: Substitution, names: FreshNames
+) -> Iterator[tuple[tuple[BodyItem, ...], Substitution]]:
+    # each production, renamed apart in declaration order, whose head
+    # unifies with symbol: its body and the extended substitution
+    for p in grammar.productions:
+        (head,), *items = names.rename(
+            (p.head,), *(i.items if isinstance(i, TerminalList) else (i.term,) for i in p.body)
+        )
+        extended = unify(head, symbol, subst)
+        if extended is not None:
+            body = tuple(
+                TerminalList(terms) if isinstance(i, TerminalList) else NonterminalRef(terms[0])
+                for i, terms in zip(p.body, items)
+            )
+            yield body, extended
 
 
 def _expand_once(
@@ -178,15 +185,10 @@ def _expand_once(
 ) -> tuple[list[Term], Substitution, RngState]:
     if depth <= 0:
         raise DepthExceededError(substitute(symbol, subst), depth)
-    candidates: list[tuple[Term, tuple[BodyItem, ...], Substitution]] = []
-    for p in grammar.productions:
-        head, body = _fresh_production(p, names)
-        extended = unify(head, symbol, subst)
-        if extended is not None:
-            candidates.append((head, body, extended))
+    candidates = list(_matching(grammar, symbol, subst, names))
     if not candidates:
         raise DeadEndError(substitute(symbol, subst))
-    (_, body, extended), rng = rnd_member(candidates, rng)
+    (body, extended), rng = rnd_member(candidates, rng)
     tokens: list[Term] = []
     for item in body:
         if isinstance(item, TerminalList):
@@ -223,21 +225,18 @@ def _enumerate(
     symbol: Term,
     depth: int,
     subst: Substitution,
-    on_dead: Optional[Callable[[Term], None]],
+    dead: set[Term],
     names: FreshNames,
 ) -> Iterator[tuple[list[Term], Substitution]]:
+    # every expansion of symbol; the dead ends met on the way go into ``dead``
     if depth <= 0:
         return
     matched = False
-    for p in grammar.productions:
-        head, body = _fresh_production(p, names)
-        extended = unify(head, symbol, subst)
-        if extended is None:
-            continue
+    for body, extended in _matching(grammar, symbol, subst, names):
         matched = True
-        yield from _enumerate_body(grammar, body, depth, extended, on_dead, names)
-    if not matched and on_dead is not None:
-        on_dead(substitute(symbol, subst))
+        yield from _enumerate_body(grammar, body, depth, extended, dead, names)
+    if not matched:
+        dead.add(substitute(symbol, subst))
 
 
 def _enumerate_body(
@@ -245,7 +244,7 @@ def _enumerate_body(
     items: tuple[BodyItem, ...],
     depth: int,
     subst: Substitution,
-    on_dead: Optional[Callable[[Term], None]],
+    dead: set[Term],
     names: FreshNames,
 ) -> Iterator[tuple[list[Term], Substitution]]:
     if not items:
@@ -253,12 +252,27 @@ def _enumerate_body(
         return
     first, rest = items[0], items[1:]
     if isinstance(first, TerminalList):
-        for tokens, extended in _enumerate_body(grammar, rest, depth, subst, on_dead, names):
+        for tokens, extended in _enumerate_body(grammar, rest, depth, subst, dead, names):
             yield [*first.items, *tokens], extended
     else:
-        for tokens1, s1 in _enumerate(grammar, first.term, depth - 1, subst, on_dead, names):
-            for tokens2, s2 in _enumerate_body(grammar, rest, depth, s1, on_dead, names):
+        for tokens1, s1 in _enumerate(grammar, first.term, depth - 1, subst, dead, names):
+            for tokens2, s2 in _enumerate_body(grammar, rest, depth, s1, dead, names):
                 yield tokens1 + tokens2, s2
+
+
+def _expansions_and_dead_ends(
+    grammar: Grammar, symbol: Term, max_depth: int = DEFAULT_MAX_DEPTH
+) -> tuple[list[list[Term]], list[Term]]:
+    # one walk of the expansion tree serves both public wrappers below
+    if not grammar.has_symbol(symbol):
+        raise UnknownNonterminalError(symbol)
+    out: dict[tuple, list[Term]] = {}
+    dead: set[Term] = set()
+    names = FreshNames(fresh_floor((symbol,)))
+    for tokens, subst in _enumerate(grammar, symbol, max_depth, Substitution(), dead, names):
+        resolved = [substitute(t, subst) for t in tokens]
+        out.setdefault(tuple(term_key(t) for t in resolved), resolved)
+    return list(out.values()), sorted(dead, key=term_key)
 
 
 def enumerate_expansions(
@@ -271,18 +285,7 @@ def enumerate_expansions(
     Dead and too-deep branches are pruned; the result is duplicate-free
     in a deterministic (production declaration) order.
     """
-    out: list[list[Term]] = []
-    seen: set[tuple] = set()
-    if not grammar.has_symbol(symbol):
-        raise UnknownNonterminalError(symbol)
-    names = FreshNames(fresh_floor((symbol,)))
-    for tokens, subst in _enumerate(grammar, symbol, max_depth, Substitution(), None, names):
-        resolved = [substitute(t, subst) for t in tokens]
-        key = tuple(term_key(t) for t in resolved)
-        if key not in seen:
-            seen.add(key)
-            out.append(resolved)
-    return out
+    return _expansions_and_dead_ends(grammar, symbol, max_depth)[0]
 
 
 def find_dead_ends(
@@ -292,10 +295,4 @@ def find_dead_ends(
 ) -> list[Term]:
     """Nonterminal instances reachable from symbol that no production
     unifies with, in term order."""
-    dead: set[Term] = set()
-    if not grammar.has_symbol(symbol):
-        raise UnknownNonterminalError(symbol)
-    names = FreshNames(fresh_floor((symbol,)))
-    for _ in _enumerate(grammar, symbol, max_depth, Substitution(), dead.add, names):
-        pass
-    return sorted(dead, key=term_key)
+    return _expansions_and_dead_ends(grammar, symbol, max_depth)[1]

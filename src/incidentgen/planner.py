@@ -9,11 +9,13 @@ base. Enumeration is exhaustive within the bound; the best plan maximizes
 (quality, term order), which is deterministic. Where shorter plans always
 win, the best-plan search lowers the bound to each plan it finds.
 
-The search asks three questions of the world: does a fact hold (by
-membership or through a rule, ``iter_satisfying``), which additions of
-an action reach the goal, and which facts its delete patterns remove.
-The last two pair patterns with distinct facts, and each way of pairing
-them is a separate branch.
+The simulator and the forward search ask every question of a knowledge
+base here: does a fact hold (``iter_satisfying``), which event instances
+apply and under which solution (``applicable``, ``first_application``),
+does a revision fire (``revise_goal``), and which plan reaches a goal.
+An event applies under the first solution of its preconditions whose
+deletes are all present. Within the search, an action's additions and
+its delete patterns pair with distinct facts, one branch per pairing.
 
 Work that cannot succeed is skipped. The knowledge base lists, per goal
 signature, the clauses whose root may meet it (``KnowledgeBase.rooted``).
@@ -37,9 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .kb import DerivationRule, EventDef, KnowledgeBase, Situation, fresh_event, fresh_rule
+from .kb import DerivationRule, EventDef, KnowledgeBase, Situation
+from .kb import fresh_event, fresh_revision, fresh_rule
 from .terms import (
     Compound,
     FreshNames,
@@ -242,18 +245,87 @@ def _satisfied_seq(
 def iter_satisfying(
     facts: Sequence[Term],
     sitn: Situation,
-    rules: Sequence[DerivationRule] = (),
+    kb: KnowledgeBase,
     subst: Optional[Substitution] = None,
 ) -> Iterator[Substitution]:
     """Substitutions satisfying every fact in sequence, lazily.
 
-    A fact holds by direct membership or through a derivation rule
-    whose body is recursively satisfied. The results are full working
-    substitutions; the simulator threads them into effect application.
+    A fact holds by direct membership or through one of the knowledge
+    base's derivation rules whose body is recursively satisfied. The
+    results are full working substitutions.
     """
     facts, subst = tuple(facts), subst or Substitution()
     names = _scope(sitn, *facts, *subst, *subst.values())
-    yield from _satisfied_seq(facts, sitn, KnowledgeBase(rules=tuple(rules)), subst, names)
+    yield from _satisfied_seq(facts, sitn, kb, subst, names)
+
+
+def _applies(event: EventDef, sitn: Situation, subst: Substitution) -> bool:
+    # an event applies under a solution of its preconditions only if
+    # every delete the solution names is present
+    return all(substitute(d, subst) in sitn for d in event.dels)
+
+
+def applicable(
+    events: Sequence[EventDef], sitn: Situation, kb: KnowledgeBase
+) -> list[tuple[Term, EventDef, Substitution]]:
+    """The instances of ``events`` that apply in ``sitn``.
+
+    Each event is renamed apart, in the order given, and its distinct
+    instances follow in term order. Each comes with the renamed event and
+    the first solution of its preconditions under which it applies.
+    """
+    out: list[tuple[Term, EventDef, Substitution]] = []
+    names = _scope(sitn)
+    for event in events:
+        fresh = fresh_event(event, names)
+        found: dict[Term, Substitution] = {}
+        for solution in _satisfied_seq(fresh.pcs, sitn, kb, Substitution(), names):
+            if _applies(fresh, sitn, solution):
+                found.setdefault(substitute(fresh.head, solution), solution)
+        out.extend((instance, fresh, found[instance]) for instance in sorted(found, key=term_key))
+    return out
+
+
+def first_application(
+    event: EventDef, sitn: Situation, kb: KnowledgeBase, subst: Substitution
+) -> Optional[Substitution]:
+    """The solution ``event`` applies under, extending ``subst``; if no
+    solution does, the first one, whose deletes then fail, or None."""
+    first = None
+    for solution in iter_satisfying(event.pcs, sitn, kb, subst):
+        if _applies(event, sitn, solution):
+            return solution
+        if first is None:
+            first = solution
+    return first
+
+
+def revise_goal(
+    sitn: Situation, goal: Term, kb: KnowledgeBase
+) -> tuple[Term, Optional[Term]]:
+    """Reassess a goal after the situation changed unexpectedly.
+
+    The first revision rule (in declared order) whose pattern unifies
+    with the goal and whose trigger holds rewrites the goal; the ground
+    trigger instance is returned alongside. No match returns the goal
+    unchanged with None.
+    """
+    names = _scope(sitn, goal)
+    for rule in kb.revisions:
+        # a pattern that cannot match the goal is not renamed, but its
+        # block of fresh names is still taken, so later names hold
+        if not _may_unify(goal, rule.old, Substitution()):
+            names.reserve(rule.fresh_width)
+            continue
+        fresh = fresh_revision(rule, names)
+        bound = unify(fresh.old, goal)
+        if bound is None:
+            continue
+        solution = next(_satisfied_seq([fresh.trigger], sitn, kb, bound, names), None)
+        if solution is None:
+            continue
+        return substitute(fresh.new, solution), substitute(fresh.trigger, solution)
+    return goal, None
 
 
 def _match_distinct(
@@ -336,9 +408,8 @@ class _Search:
     next_id: int = 1
 
 
-@dataclass
-class _Rec:
-    """Mutable search-time record of one chosen action."""
+class _Rec(NamedTuple):
+    """Search-time record of one chosen action, shared by its branches."""
 
     id: int
     action_raw: Term
@@ -355,14 +426,16 @@ def _plan(
     used: int,
     kb: KnowledgeBase,
     search: _Search,
-) -> Iterator[tuple[list[_Rec], Situation, Substitution]]:
-    # ``used`` counts the plan's steps already chosen outside this subgoal
+    parent_id: Optional[int],
+) -> Iterator[tuple[tuple[_Rec, ...], Situation, Substitution]]:
+    # ``used`` counts the plan's steps already chosen outside this subgoal,
+    # and ``parent_id`` is the step that needs the goal (None at the top)
     # already true: one empty plan per satisfying substitution, and the
     # action case is then blocked entirely
     satisfied_any = False
     for extended in _satisfied_iter(goal, sitn, kb, subst, search.names):
         satisfied_any = True
-        yield [], sitn, extended
+        yield (), sitn, extended
     if satisfied_any or used >= search.bound:
         return
     # a goal already being pursued further up is a dead end
@@ -384,32 +457,19 @@ def _plan(
                 search.names.reserve(event.fresh_width + rooted.width)
             continue
         fresh = fresh_event(event, search.names)
+        this_id = search.next_id
+        search.next_id += 1
         for achieved, via_rule in _achieves_iter(fresh, goal, kb, subst, search.names):
+            rec = _Rec(this_id, fresh.head, goal, via_rule, parent_id)
             for pre_recs, mid_sitn, mid_subst in _plan_seq(
-                fresh.pcs, sitn, new_stack, achieved, used + 1, kb, search
+                fresh.pcs, sitn, new_stack, achieved, used + 1, kb, search, this_id
             ):
                 # delete patterns unify against situation facts, and each
                 # way of pairing them up is a separate branch
                 dels = [substitute(d, mid_subst) for d in fresh.dels]
                 for del_subst, paired in _match_deletes(dels, mid_sitn, mid_subst):
                     adds = frozenset(substitute(a, del_subst) for a in fresh.adds)
-                    this_id = search.next_id
-                    search.next_id += 1
-                    # copy records per branch: the same preconditions
-                    # get re-parented under a new consumer in every
-                    # alternative, and branches must not share state
-                    recs = [
-                        _Rec(
-                            r.id,
-                            r.action_raw,
-                            r.goal_raw,
-                            r.via_rule,
-                            this_id if r.parent_id is None else r.parent_id,
-                        )
-                        for r in pre_recs
-                    ]
-                    recs.append(_Rec(this_id, fresh.head, goal, via_rule, None))
-                    yield recs, mid_sitn.difference(paired) | adds, del_subst
+                    yield (*pre_recs, rec), mid_sitn.difference(paired) | adds, del_subst
 
 
 def _plan_seq(
@@ -420,20 +480,21 @@ def _plan_seq(
     used: int,
     kb: KnowledgeBase,
     search: _Search,
-) -> Iterator[tuple[list[_Rec], Situation, Substitution]]:
+    parent_id: Optional[int],
+) -> Iterator[tuple[tuple[_Rec, ...], Situation, Substitution]]:
     if not goals:
-        yield [], sitn, subst
+        yield (), sitn, subst
         return
     for recs1, sitn1, subst1 in _plan(
-        goals[0], sitn, stack, subst, used, kb, search
+        goals[0], sitn, stack, subst, used, kb, search, parent_id
     ):
         for recs2, sitn2, subst2 in _plan_seq(
-            goals[1:], sitn1, stack, subst1, used + len(recs1), kb, search
+            goals[1:], sitn1, stack, subst1, used + len(recs1), kb, search, parent_id
         ):
             yield recs1 + recs2, sitn2, subst2
 
 
-def _finalize(recs: list[_Rec], subst: Substitution) -> Plan:
+def _finalize(recs: tuple[_Rec, ...], subst: Substitution) -> Plan:
     by_id: dict[int, PlanStep] = {}
     # consumers sit after their precondition steps, so walking the list
     # backwards always finds the parent already built
@@ -455,7 +516,7 @@ def _plans(
     # plan lowers the bound to its own length, so ties are still found
     search = _Search(cfg.max_plan_length, _scope(sitn, goal))
     plans: dict[tuple, Plan] = {}
-    for recs, _, subst in _plan(goal, sitn, (), Substitution(), 0, kb, search):
+    for recs, _, subst in _plan(goal, sitn, (), Substitution(), 0, kb, search, None):
         plan = _finalize(recs, subst)
         plans.setdefault(plan_sort_key(plan), plan)
         if shrink:

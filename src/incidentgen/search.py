@@ -12,7 +12,8 @@ private action repertoire. Turns alternate strictly, protagonist
 first; the protagonist replans each turn toward its goal, and the
 antagonist plays whichever of its applicable actions leaves the
 protagonist worst off (the exact zero-sum counter). An antagonist
-with nothing applicable passes.
+with nothing applicable passes. Which actions apply, and whether a goal
+holds, are asked of :mod:`incidentgen.planner`.
 """
 
 from __future__ import annotations
@@ -23,20 +24,18 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .kb import EventDef, KnowledgeBase, Situation, fresh_event
+from .kb import EventDef, KnowledgeBase, Situation
 from .planner import (
-    MissingDeleteFactError,
     NoPlanFoundError,
     Plan,
     PlanStep,
-    _satisfied_seq,
-    _scope,
+    applicable,
     apply_effects,
     iter_satisfying,
     make_best_plan,
 )
 from .simulator import GoalEntry, Trace, apply_event
-from .terms import IncidentgenError, Substitution, Term, ground, substitute, term_key
+from .terms import IncidentgenError, Term, ground, substitute, term_key
 
 # score for situations the goal is unreachable from; any reachable
 # situation must rank above it
@@ -81,34 +80,14 @@ class SearchConfig:
 def _applicable_actions(
     sitn: Situation, kb: KnowledgeBase
 ) -> list[tuple[Term, Situation]]:
-    """Ground action instances applicable in sitn, with their results.
-
-    Declaration order by definition, term order within one definition;
-    one entry per distinct instance.
-    """
+    """Ground action instances that apply in sitn, with their results, in
+    the order ``planner.applicable`` gives them."""
     out: list[tuple[Term, Situation]] = []
-    names = _scope(sitn)
-    for event in kb.actions:
-        fresh = fresh_event(event, names)
-        found: list[tuple[Term, Situation]] = []
-        seen: set[tuple] = set()
-        for solution in _satisfied_seq(fresh.pcs, sitn, kb, Substitution(), names):
-            instance = substitute(fresh.head, solution)
-            if not ground(instance):
-                continue
-            key = term_key(instance)
-            if key in seen:
-                continue
-            seen.add(key)
+    for instance, fresh, solution in applicable(kb.actions, sitn, kb):
+        if ground(instance):
             dels = [substitute(d, solution) for d in fresh.dels]
             adds = [substitute(a, solution) for a in fresh.adds]
-            try:
-                post = apply_effects(dels, adds, sitn)
-            except MissingDeleteFactError:
-                continue
-            found.append((instance, post))
-        found.sort(key=lambda pair: term_key(pair[0]))
-        out.extend(found)
+            out.append((instance, apply_effects(dels, adds, sitn)))
     return out
 
 
@@ -132,7 +111,7 @@ def forward_search(
     visited = {sitn}
     while heap:
         _, _, here, actions = heapq.heappop(heap)
-        if next(iter_satisfying((goal,), here, kb.rules), None) is not None:
+        if next(iter_satisfying((goal,), here, kb), None) is not None:
             return Plan(
                 steps=tuple(PlanStep(action=a, achieves_goal=goal) for a in actions)
             )
@@ -189,7 +168,7 @@ def adversarial_story(
     steps = []
     turn = 0
     while True:
-        if next(iter_satisfying((hero_goal,), sitn, kb.rules), None) is not None:
+        if next(iter_satisfying((hero_goal,), sitn, kb), None) is not None:
             break
         if turn >= cfg.max_depth:
             raise StalemateError(turn)

@@ -8,7 +8,8 @@ the revision rules and a fresh best plan replaces the remainder of the
 old one. Everything that occurs is recorded in a Trace.
 
 Randomness is threaded functionally (see :mod:`incidentgen.rng`), so a
-given configuration always reproduces the same trace.
+given configuration always reproduces the same trace. Every question
+about the knowledge base is asked of :mod:`incidentgen.planner`.
 """
 
 from __future__ import annotations
@@ -16,27 +17,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .kb import KnowledgeBase, Situation, UnknownEventError, fresh_event, fresh_revision
+from .kb import KnowledgeBase, Situation, UnknownEventError
 from .planner import (
     NoPlanFoundError,
     PlannerConfig,
     PlanStep,
     ScoredPlan,
-    _satisfied_seq,
-    _scope,
+    applicable,
     apply_effects,
+    first_application,
     iter_satisfying,
     make_best_plan,
+    revise_goal,
 )
 from .rng import RngState, maybe, rnd_member
 from .terms import (
     IncidentgenError,
     Substitution,
     Term,
-    _may_unify,
     format_term,
     substitute,
-    term_key,
     unify,
     variables,
 )
@@ -115,49 +115,9 @@ class Trace:
 
 
 def applicable_happenings(sitn: Situation, kb: KnowledgeBase) -> list[Term]:
-    """Ground happening instances whose preconditions hold.
-
-    Ordered by knowledge-base declaration, then term order among the
-    instantiations of one definition.
-    """
-    out: list[Term] = []
-    names = _scope(sitn)
-    for event in kb.happenings:
-        fresh = fresh_event(event, names)
-        instances = {
-            substitute(fresh.head, s)
-            for s in _satisfied_seq(fresh.pcs, sitn, kb, Substitution(), names)
-        }
-        out.extend(sorted(instances, key=term_key))
-    return out
-
-
-def revise_goal(
-    sitn: Situation, goal: Term, kb: KnowledgeBase
-) -> tuple[Term, Optional[Term]]:
-    """Reassess a goal after the situation changed unexpectedly.
-
-    The first revision rule (in declared order) whose pattern unifies
-    with the goal and whose trigger holds rewrites the goal; the ground
-    trigger instance is returned alongside. No match returns the goal
-    unchanged with None.
-    """
-    names = _scope(sitn, goal)
-    for rule in kb.revisions:
-        # a pattern that cannot match the goal is not renamed, but its
-        # block of fresh names is still taken, so later names hold
-        if not _may_unify(goal, rule.old, Substitution()):
-            names.reserve(rule.fresh_width)
-            continue
-        fresh = fresh_revision(rule, names)
-        bound = unify(fresh.old, goal)
-        if bound is None:
-            continue
-        solution = next(_satisfied_seq([fresh.trigger], sitn, kb, bound, names), None)
-        if solution is None:
-            continue
-        return substitute(fresh.new, solution), substitute(fresh.trigger, solution)
-    return goal, None
+    """Happening instances that apply in ``sitn``: knowledge-base
+    declaration order, then term order within one definition."""
+    return [instance for instance, _, _ in applicable(kb.happenings, sitn, kb)]
 
 
 def _first_missing(
@@ -166,7 +126,7 @@ def _first_missing(
     # greedy scan for the message only: the first precondition with no
     # solution under the bindings accumulated so far
     for pc in pcs:
-        extended = next(iter_satisfying([pc], sitn, kb.rules, subst), None)
+        extended = next(iter_satisfying([pc], sitn, kb, subst), None)
         if extended is None:
             return substitute(pc, subst)
         subst = extended
@@ -184,15 +144,15 @@ def apply_event(
 ) -> TraceStep:
     """Execute one ground event against a situation.
 
-    Verifies the matching definition's preconditions (first satisfying
-    substitution in deterministic order binds any open variables),
-    applies its effects, and returns the finished trace step.
+    Verifies the matching definition's preconditions (the solution from
+    ``first_application`` binds any open variables), applies its effects,
+    and returns the finished trace step.
     """
     match = kb.match_event(event, kind=kind)
     if match is None:
         raise UnknownEventError(event)
     event_def, head_subst = match
-    solution = next(iter_satisfying(event_def.pcs, sitn, kb.rules, head_subst), None)
+    solution = first_application(event_def, sitn, kb, head_subst)
     if solution is None:
         missing = _first_missing(event_def.pcs, sitn, kb, head_subst)
         raise PreconditionViolationError(event, missing, steps)

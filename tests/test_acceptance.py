@@ -6,6 +6,7 @@ processes, and the planner, goal revision, and explanation layers are
 swept with randomized property suites against reference oracles.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -242,6 +243,9 @@ def test_batches_are_bit_identical_across_processes():
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(SEPARATOR + "\n") == 99
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == (
+        "bc4ef68c75872ac6f4a1b5a687a00adfd5e622a062ee0c152fb7e434a940f8a9"
+    )
 
 
 def test_table_mode_opening_draws():

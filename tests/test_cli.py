@@ -261,6 +261,35 @@ def test_a_goal_with_fresh_names_keeps_them_apart(run, tmp_path):
     assert run("plan", "--kb", str(kb), "--goal", "q(_G2)") == (0, "a(_G3)\nquality: 90\n", "")
 
 
+# p(one) comes first, but its delete q(one) is absent: the event applies
+# under the next solution, p(two), in every command that runs it
+DELETES_KB = "action a {pre: p(X); del: q(X); add: r; text: \"a {X}\";}\n"
+DELETES_INIT = "init {p(one); p(two); q(two);}\ngoal r.\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [(("generate", "--prob", "0"), "a two\n"), (("forward",), "a\n")],
+    ids=["generate", "forward"],
+)
+def test_an_action_applies_under_a_solution_whose_deletes_are_present(run, tmp_path, argv, out):
+    kb = tmp_path / "dels.kb"
+    kb.write_text(DELETES_KB + DELETES_INIT)
+    assert run(*argv, "--kb", str(kb)) == (0, out, "")
+
+
+def test_an_injected_happening_applies_under_a_solution_whose_deletes_are_present(
+    run, tmp_path
+):
+    kb = tmp_path / "dels.kb"
+    kb.write_text(
+        'happening k {pre: p(X); del: q(X); add: s; text: "k {X}";}\n'
+        'action a {pre: p(X); add: r; text: "a {X}";}\n' + DELETES_INIT
+    )
+    code, out, err = run("generate", "--prob", "0", "--inject", "0:k", "--kb", str(kb))
+    assert (code, out, err) == (0, "k two\na one\n", "")
+
+
 def test_plan_length_budget_failure(run):
     code, out, err = run("plan", "--max-length", "7")
     assert code == 1 and out == ""

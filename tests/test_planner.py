@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import backward_plan_set, replay
 
 from incidentgen import (
@@ -35,7 +36,7 @@ from incidentgen import (
     term_key,
     unify,
 )
-from incidentgen import planner
+from incidentgen import planner, search, simulator
 from incidentgen.planner import _achieves_iter
 from conftest import facts
 
@@ -67,22 +68,22 @@ def names(actions):
 
 def test_satisfied_by_direct_membership():
     fact = parse_term("alocation(airplane1, gate(seattle))")
-    assert list(iter_satisfying([fact], frozenset({fact}))) == [Substitution()]
+    assert list(iter_satisfying([fact], frozenset({fact}), KnowledgeBase())) == [Substitution()]
 
 
 def test_satisfied_through_derivation_rule(kb, fire_on_runway):
     goal = parse_term("a_on_ground(airplane1)")
     assert goal not in fire_on_runway
-    assert len(list(iter_satisfying([goal], fire_on_runway, kb.rules))) == 1
+    assert len(list(iter_satisfying([goal], fire_on_runway, kb))) == 1
 
 
 def test_unsatisfied_returns_empty(kb):
-    assert list(iter_satisfying([parse_term("on_fire(engine)")], kb.init, kb.rules)) == []
+    assert list(iter_satisfying([parse_term("on_fire(engine)")], kb.init, kb)) == []
 
 
 def test_iter_satisfying_yields_bindings(kb):
     sols = list(
-        iter_satisfying([parse_term("plocation(passengers1, Where)")], kb.init, kb.rules)
+        iter_satisfying([parse_term("plocation(passengers1, Where)")], kb.init, kb)
     )
     assert [substitute(Variable("Where"), s) for s in sols] == [
         parse_term("gate(seattle)")
@@ -94,7 +95,7 @@ def test_iter_satisfying_threads_bindings_across_facts(kb):
         parse_term("airplane(Plane)"),
         parse_term("alocation(Plane, Where)"),
     ]
-    sols = list(iter_satisfying(goals, kb.init, kb.rules))
+    sols = list(iter_satisfying(goals, kb.init, kb))
     assert len(sols) == 1
     assert substitute(parse_term("at(Plane, Where)"), sols[0]) == parse_term(
         "at(airplane1, gate(seattle))"
@@ -115,7 +116,8 @@ def test_facts_are_tried_in_term_order(goal, loose):
         for s in (unify(goal, fact) for fact in sorted(sitn, key=term_key))
         if s is not None
     ]
-    assert [substitute(goal, s) for s in iter_satisfying([goal], sitn)] == expected
+    solutions = iter_satisfying([goal], sitn, KnowledgeBase())
+    assert [substitute(goal, s) for s in solutions] == expected
 
 
 # -------------------------------------------------------------- achievement
@@ -412,20 +414,35 @@ def ill_passenger_story(kb):
     [
         (
             lambda kb: make_best_plan(kb.goal, kb.init, kb),
-            {"fresh_event": 32, "fresh_rule": 3, "unify": 193},
+            {"planner.fresh_event": 32, "planner.fresh_rule": 3, "planner.unify": 193},
         ),
-        (ill_passenger_story, {"fresh_event": 47, "fresh_rule": 18, "unify": 303}),
+        (
+            ill_passenger_story,
+            {
+                "planner.fresh_event": 49,
+                "planner.fresh_rule": 18,
+                "planner.fresh_revision": 2,
+                "planner.unify": 305,
+                "simulator.unify": 2,
+            },
+        ),
     ],
     ids=["best_plan", "ill_passenger_story"],
 )
 def test_planner_renames_only_clauses_that_can_match(kb, monkeypatch, work, expected):
+    # every rename goes through the planner; the simulator only unifies
+    # a scheduled happening with the applicable ones
     counts = Counter()
-    for name in expected:
-        def counted(*args, _call=getattr(planner, name), _name=name):
-            counts[_name] += 1
-            return _call(*args)
+    for module in (planner, simulator):
+        for name in ("fresh_event", "fresh_rule", "fresh_revision", "unify"):
+            if hasattr(module, name):
+                key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
 
-        monkeypatch.setattr(planner, name, counted)
+                def counted(*args, _call=getattr(module, name), _key=key):
+                    counts[_key] += 1
+                    return _call(*args)
+
+                monkeypatch.setattr(module, name, counted)
     work(kb)
     assert counts == expected
 
@@ -460,7 +477,7 @@ def test_fresh_names_never_capture_a_query_input():
     )
     plan = make_best_plan(parse_term("q(_G2)"), kb.init, kb).plan
     assert plan.actions == (parse_term("a(_G3)"),)
-    [solution] = iter_satisfying([parse_term("p(_G1)")], kb.init, kb.rules)
+    [solution] = iter_satisfying([parse_term("p(_G1)")], kb.init, kb)
     assert substitute(parse_term("_G1"), solution) == parse_term("f(_G2)")
     assert applicable_happenings(kb.init | facts("pa(_G1)"), kb) == [
         parse_term("h(_G2)"),
@@ -529,3 +546,13 @@ def test_plans_and_their_fresh_names_match_the_reference(kb):
     bound = 3
     got = enumerate_plans(kb.goal, kb.init, kb, PlannerConfig(max_plan_length=bound))
     assert {p.actions for p in got} == backward_plan_set(kb.goal, kb.init, kb, bound)
+
+
+@settings(max_examples=200)
+@given(nonground_kbs())
+def test_applicable_actions_match_the_reference(kb):
+    # an action applies under the first solution whose deletes are all
+    # present, so an instance is kept if any solution qualifies. The
+    # reference lists every move in term order, not by declaration
+    got = search._applicable_actions(kb.init, kb)
+    assert sorted(got, key=lambda move: term_key(move[0])) == oracles._ground_moves(kb.init, kb)

@@ -270,7 +270,7 @@ def test_every_trace_ends_with_its_active_goal_satisfied(kb):
         cfg = SimConfig(rng=rng)
         trace = generate_incident(kb, cfg)
         goal = trace.goal_history[-1].goal
-        solutions = iter_satisfying([goal], trace.final_situation, kb.rules)
+        solutions = iter_satisfying([goal], trace.final_situation, kb)
         assert next(solutions, None) is not None
         rng = trace.rng_after
 
