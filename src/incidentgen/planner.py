@@ -14,21 +14,26 @@ base here: does a fact hold (``iter_satisfying``), which event instances
 apply and under which solution (``applicable``, ``first_application``),
 does a revision fire (``revise_goal``), and which plan reaches a goal.
 An event applies under the first solution of its preconditions whose
-deletes are all present. Within the search, an action's additions and
-its delete patterns pair with distinct facts, one branch per pairing.
+deletes are all present, and a plan step under the solution the planner
+chose for it. Within the search, an action's additions and its delete
+patterns pair with distinct facts, one branch per pairing.
 
 Work that cannot succeed is skipped. The knowledge base lists, per goal
 signature, the clauses whose root may meet it (``KnowledgeBase.rooted``).
 A rule is renamed apart only if a deep screen finds that its head may
 unify with the goal, and an action only if one of its adds may, or if
-its adds may feed the body of such a rule. Each situation is sorted
-into term order, grouped by signature and scanned for its highest
-``_G`` name once, so a goal or a delete pattern is tried only against
-facts of its own signature. Each query takes fresh names from its own
-scope, counted from above those in its inputs. They are visible output:
-a clause whose root matches but which the screen skips still takes its
-block of names, so every name, and every tie-break by term order, is as
-if it had been renamed.
+its adds may feed the body of such a rule. A goal or a delete pattern
+is tried only against the facts of its own signature. A caller's
+situation is sorted into term order, grouped by signature and scanned
+for its highest ``_G`` name once; each branch of the search derives its
+groups from its parent's, only those its step touches and only when
+first asked for, so no situation is hashed or compared.
+
+Each query takes fresh names from its own scope, counted from above
+those in its inputs. They are visible output: a clause whose root
+matches but which the screen skips still takes its block of names, so
+every name, and every tie-break by term order, is as if it had been
+renamed.
 
 Each plan step records the subgoal it was chosen to achieve and the
 step that needed that subgoal, so a finished plan can be read backwards
@@ -37,9 +42,10 @@ as a justification chain.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .kb import DerivationRule, EventDef, KnowledgeBase, Situation
 from .kb import fresh_event, fresh_revision, fresh_rule
@@ -106,12 +112,17 @@ class PlanStep:
     add-list to that subgoal (None if an add matched directly), and
     ``parent`` the later step whose precondition the subgoal is; the
     root step (parent None) achieves the plan's top-level goal.
+    ``solution`` is the renamed action and the plan's substitution,
+    under which the planner chose it (None for a step built by hand).
     """
 
     action: Term
     achieves_goal: Term
     via_rule: Optional[DerivationRule] = None
     parent: Optional["PlanStep"] = field(default=None, repr=False)
+    solution: Optional[tuple[EventDef, Substitution]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -177,45 +188,105 @@ def _renamed_rules(
             names.reserve(rule.fresh_width)
 
 
+class _Index:
+    """A situation as the search reads it. Under each signature are the
+    facts a goal of that signature may unify with, in term order; variable
+    facts sort first and may match any goal, so they head every group.
+    Under None are all the facts. A search branch's index is derived from
+    its parent's, one signature at a time when first asked for: a group
+    the branch's step does not touch is its parent's own tuple, so the
+    search never hashes or compares a whole situation."""
+
+    __slots__ = ("_groups", "_loose", "_parent", "_drop", "_add", "_touched")
+
+    def __init__(self, groups: dict, loose: tuple, parent=None, drop=(), add=(), touched=()) -> None:
+        # ``drop`` and ``add`` are the step from ``parent``, and
+        # ``touched`` the signatures of their facts, None among them
+        self._groups = groups
+        self._loose = loose
+        self._parent = parent
+        self._drop = drop
+        self._add = add
+        self._touched = touched
+
+    @classmethod
+    def of(cls, facts: Iterable[Term]) -> "_Index":
+        """A situation's index built from scratch."""
+        ordered = tuple(sorted(facts, key=term_key))
+        groups: dict = {}
+        loose: list[Term] = []
+        for fact in ordered:
+            sig = signature(fact)
+            if sig is None:
+                loose.append(fact)
+            else:
+                groups.setdefault(sig, list(loose)).append(fact)
+        groups = {sig: tuple(group) for sig, group in groups.items()}
+        groups[None] = ordered
+        return cls(groups, tuple(loose))
+
+    def group(self, sig: Optional[tuple[str, int]]) -> Sequence[Term]:
+        """The facts that may unify with a goal of signature ``sig``."""
+        found = self._groups.get(sig)
+        if found is None:
+            if self._parent is None:
+                return self._loose
+            found = self._parent.group(sig)
+            if sig in self._touched:
+                found = _changed(found, sig, self._drop, self._add)
+            self._groups[sig] = found
+        return found
+
+    def after(self, drop: Sequence[Term], add: Sequence[Term]) -> "_Index":
+        """The index of this situation less ``drop`` (facts it holds) plus
+        ``add``. Adding or dropping a variable fact changes every group,
+        so that rare step indexes its situation anew."""
+        touched = {*map(signature, drop), *map(signature, add)}
+        if None in touched:
+            return _Index.of(_changed(self.group(None), None, drop, add))
+        touched.add(None)
+        return _Index({}, self._loose, self, drop, add, touched)
+
+
+def _changed(
+    group: Sequence[Term], sig: Optional[tuple[str, int]], drop: Sequence[Term], add: Sequence[Term]
+) -> tuple[Term, ...]:
+    # a group in term order less the facts it holds in ``drop``, plus
+    # those of signature ``sig`` (any, if None) in ``add`` that it does
+    # not already hold, each at its place
+    out = [fact for fact in group if fact not in drop]
+    for fact in add:
+        if sig is None or signature(fact) == sig:
+            i = bisect_left(out, term_key(fact), key=term_key) if out else 0
+            if i == len(out) or out[i] != fact:
+                out.insert(i, fact)
+    return tuple(out)
+
+
 @lru_cache(maxsize=128)
-def _indexed(sitn: Situation) -> tuple[tuple[Term, ...], dict, tuple[Term, ...], int]:
-    # the situation in term order, once, and the same order split by
-    # signature; variable facts sort first and may match any goal, so
-    # they head every group. Last, the situation's fresh-name floor
-    facts = tuple(sorted(sitn, key=term_key))
-    groups: dict = {}
-    loose: list[Term] = []
-    for fact in facts:
-        sig = signature(fact)
-        if sig is None:
-            loose.append(fact)
-        else:
-            groups.setdefault(sig, list(loose)).append(fact)
-    return facts, groups, tuple(loose), fresh_floor(facts)
+def _indexed(sitn: Situation) -> tuple[_Index, int]:
+    # a caller's situation, indexed once, and its fresh-name floor; the
+    # simulator asks several questions of each situation it reaches
+    return _Index.of(sitn), fresh_floor(sitn)
 
 
-def _scope(sitn: Situation, *terms: Term) -> FreshNames:
-    # one query's names, above every _G name in its situation and terms
-    return FreshNames(max(fresh_floor(terms), _indexed(frozenset(sitn))[3]))
-
-
-def _facts_matching(seen: Term, sitn: Situation) -> Sequence[Term]:
-    # the facts that may unify with a walked goal, in term order
-    facts, groups, loose, _ = _indexed(frozenset(sitn))
-    sig = signature(seen)
-    return facts if sig is None else groups.get(sig, loose)
+def _scope(sitn: Situation, *terms: Term) -> tuple[_Index, FreshNames]:
+    # one query's index of its situation, and its names, above every _G
+    # name in that situation and in its terms
+    index, floor = _indexed(frozenset(sitn))
+    return index, FreshNames(max(fresh_floor(terms), floor))
 
 
 def _satisfied_iter(
     goal: Term,
-    sitn: Situation,
+    index: _Index,
     kb: KnowledgeBase,
     subst: Substitution,
     names: FreshNames,
     depth: int = _MAX_RULE_DEPTH,
 ) -> Iterator[Substitution]:
     seen = subst.walk(goal)
-    for fact in _facts_matching(seen, sitn):
+    for fact in index.group(signature(seen)):
         extended = unify(goal, fact, subst)
         if extended is not None:
             yield extended
@@ -224,12 +295,12 @@ def _satisfied_iter(
     for _, fresh in _renamed_rules(seen, kb, subst, names):
         extended = unify(goal, fresh.head, subst)
         if extended is not None:
-            yield from _satisfied_seq(fresh.body, sitn, kb, extended, names, depth - 1)
+            yield from _satisfied_seq(fresh.body, index, kb, extended, names, depth - 1)
 
 
 def _satisfied_seq(
     goals: Sequence[Term],
-    sitn: Situation,
+    index: _Index,
     kb: KnowledgeBase,
     subst: Substitution,
     names: FreshNames,
@@ -238,8 +309,8 @@ def _satisfied_seq(
     if not goals:
         yield subst
         return
-    for extended in _satisfied_iter(goals[0], sitn, kb, subst, names, depth):
-        yield from _satisfied_seq(goals[1:], sitn, kb, extended, names, depth)
+    for extended in _satisfied_iter(goals[0], index, kb, subst, names, depth):
+        yield from _satisfied_seq(goals[1:], index, kb, extended, names, depth)
 
 
 def iter_satisfying(
@@ -255,8 +326,8 @@ def iter_satisfying(
     results are full working substitutions.
     """
     facts, subst = tuple(facts), subst or Substitution()
-    names = _scope(sitn, *facts, *subst, *subst.values())
-    yield from _satisfied_seq(facts, sitn, kb, subst, names)
+    index, names = _scope(sitn, *facts, *subst, *subst.values())
+    yield from _satisfied_seq(facts, index, kb, subst, names)
 
 
 def _applies(event: EventDef, sitn: Situation, subst: Substitution) -> bool:
@@ -275,29 +346,42 @@ def applicable(
     the first solution of its preconditions under which it applies.
     """
     out: list[tuple[Term, EventDef, Substitution]] = []
-    names = _scope(sitn)
+    index, names = _scope(sitn)
     for event in events:
         fresh = fresh_event(event, names)
         found: dict[Term, Substitution] = {}
-        for solution in _satisfied_seq(fresh.pcs, sitn, kb, Substitution(), names):
+        for solution in _satisfied_seq(fresh.pcs, index, kb, Substitution(), names):
             if _applies(fresh, sitn, solution):
                 found.setdefault(substitute(fresh.head, solution), solution)
         out.extend((instance, fresh, found[instance]) for instance in sorted(found, key=term_key))
     return out
 
 
+def _effects(event: EventDef, subst: Substitution) -> tuple[list[Term], list[Term]]:
+    return [substitute(d, subst) for d in event.dels], [substitute(a, subst) for a in event.adds]
+
+
 def first_application(
-    event: EventDef, sitn: Situation, kb: KnowledgeBase, subst: Substitution
+    event: EventDef,
+    sitn: Situation,
+    kb: KnowledgeBase,
+    subst: Substitution,
+    planned: Optional[tuple[EventDef, Substitution]] = None,
 ) -> Optional[Substitution]:
-    """The solution ``event`` applies under, extending ``subst``; if no
-    solution does, the first one, whose deletes then fail, or None."""
-    first = None
+    """The solution ``event`` applies under, extending ``subst``: the
+    first with the deletes and adds of ``planned``, a plan step's
+    solution, else the first that applies; if no solution applies, the
+    first one, whose deletes then fail, or None."""
+    first = applies = None
     for solution in iter_satisfying(event.pcs, sitn, kb, subst):
         if _applies(event, sitn, solution):
-            return solution
+            if planned is None or _effects(event, solution) == _effects(*planned):
+                return solution
+            if applies is None:
+                applies = solution
         if first is None:
             first = solution
-    return first
+    return applies if applies is not None else first
 
 
 def revise_goal(
@@ -310,7 +394,7 @@ def revise_goal(
     trigger instance is returned alongside. No match returns the goal
     unchanged with None.
     """
-    names = _scope(sitn, goal)
+    index, names = _scope(sitn, goal)
     for rule in kb.revisions:
         # a pattern that cannot match the goal is not renamed, but its
         # block of fresh names is still taken, so later names hold
@@ -321,7 +405,7 @@ def revise_goal(
         bound = unify(fresh.old, goal)
         if bound is None:
             continue
-        solution = next(_satisfied_seq([fresh.trigger], sitn, kb, bound, names), None)
+        solution = next(_satisfied_seq([fresh.trigger], index, kb, bound, names), None)
         if solution is None:
             continue
         return substitute(fresh.new, solution), substitute(fresh.trigger, solution)
@@ -344,7 +428,7 @@ def _match_distinct(
 
 
 def _match_deletes(
-    patterns: Sequence[Term], sitn: Situation, subst: Substitution, paired: tuple[Term, ...] = ()
+    patterns: Sequence[Term], index: _Index, subst: Substitution, paired: tuple[Term, ...] = ()
 ) -> Iterator[tuple[Substitution, tuple[Term, ...]]]:
     # the same over a situation: each pattern is tried only against the
     # facts of its walked signature, in term order, skipping those already
@@ -352,11 +436,11 @@ def _match_deletes(
     if not patterns:
         yield subst, paired
         return
-    for fact in _facts_matching(subst.walk(patterns[0]), sitn):
+    for fact in index.group(signature(subst.walk(patterns[0]))):
         if fact not in paired:
             extended = unify(patterns[0], fact, subst)
             if extended is not None:
-                yield from _match_deletes(patterns[1:], sitn, extended, (*paired, fact))
+                yield from _match_deletes(patterns[1:], index, extended, (*paired, fact))
 
 
 # ----------------------------------------------------------------- achieves
@@ -412,7 +496,7 @@ class _Rec(NamedTuple):
     """Search-time record of one chosen action, shared by its branches."""
 
     id: int
-    action_raw: Term
+    event: EventDef  # renamed apart
     goal_raw: Term
     via_rule: Optional[DerivationRule]
     parent_id: Optional[int]
@@ -420,22 +504,22 @@ class _Rec(NamedTuple):
 
 def _plan(
     goal: Term,
-    sitn: Situation,
+    index: _Index,
     stack: tuple[Term, ...],
     subst: Substitution,
     used: int,
     kb: KnowledgeBase,
     search: _Search,
     parent_id: Optional[int],
-) -> Iterator[tuple[tuple[_Rec, ...], Situation, Substitution]]:
+) -> Iterator[tuple[tuple[_Rec, ...], _Index, Substitution]]:
     # ``used`` counts the plan's steps already chosen outside this subgoal,
     # and ``parent_id`` is the step that needs the goal (None at the top)
     # already true: one empty plan per satisfying substitution, and the
     # action case is then blocked entirely
     satisfied_any = False
-    for extended in _satisfied_iter(goal, sitn, kb, subst, search.names):
+    for extended in _satisfied_iter(goal, index, kb, subst, search.names):
         satisfied_any = True
-        yield (), sitn, extended
+        yield (), index, extended
     if satisfied_any or used >= search.bound:
         return
     # a goal already being pursued further up is a dead end
@@ -460,38 +544,38 @@ def _plan(
         this_id = search.next_id
         search.next_id += 1
         for achieved, via_rule in _achieves_iter(fresh, goal, kb, subst, search.names):
-            rec = _Rec(this_id, fresh.head, goal, via_rule, parent_id)
-            for pre_recs, mid_sitn, mid_subst in _plan_seq(
-                fresh.pcs, sitn, new_stack, achieved, used + 1, kb, search, this_id
+            rec = _Rec(this_id, fresh, goal, via_rule, parent_id)
+            for pre_recs, mid, mid_subst in _plan_seq(
+                fresh.pcs, index, new_stack, achieved, used + 1, kb, search, this_id
             ):
                 # delete patterns unify against situation facts, and each
                 # way of pairing them up is a separate branch
                 dels = [substitute(d, mid_subst) for d in fresh.dels]
-                for del_subst, paired in _match_deletes(dels, mid_sitn, mid_subst):
-                    adds = frozenset(substitute(a, del_subst) for a in fresh.adds)
-                    yield (*pre_recs, rec), mid_sitn.difference(paired) | adds, del_subst
+                for del_subst, paired in _match_deletes(dels, mid, mid_subst):
+                    adds = [substitute(a, del_subst) for a in fresh.adds]
+                    yield (*pre_recs, rec), mid.after(paired, adds), del_subst
 
 
 def _plan_seq(
     goals: Sequence[Term],
-    sitn: Situation,
+    index: _Index,
     stack: tuple[Term, ...],
     subst: Substitution,
     used: int,
     kb: KnowledgeBase,
     search: _Search,
     parent_id: Optional[int],
-) -> Iterator[tuple[tuple[_Rec, ...], Situation, Substitution]]:
+) -> Iterator[tuple[tuple[_Rec, ...], _Index, Substitution]]:
     if not goals:
-        yield (), sitn, subst
+        yield (), index, subst
         return
-    for recs1, sitn1, subst1 in _plan(
-        goals[0], sitn, stack, subst, used, kb, search, parent_id
+    for recs1, index1, subst1 in _plan(
+        goals[0], index, stack, subst, used, kb, search, parent_id
     ):
-        for recs2, sitn2, subst2 in _plan_seq(
-            goals[1:], sitn1, stack, subst1, used + len(recs1), kb, search, parent_id
+        for recs2, index2, subst2 in _plan_seq(
+            goals[1:], index1, stack, subst1, used + len(recs1), kb, search, parent_id
         ):
-            yield recs1 + recs2, sitn2, subst2
+            yield recs1 + recs2, index2, subst2
 
 
 def _finalize(recs: tuple[_Rec, ...], subst: Substitution) -> Plan:
@@ -501,10 +585,11 @@ def _finalize(recs: tuple[_Rec, ...], subst: Substitution) -> Plan:
     for rec in reversed(recs):
         parent = by_id.get(rec.parent_id) if rec.parent_id is not None else None
         by_id[rec.id] = PlanStep(
-            action=substitute(rec.action_raw, subst),
+            action=substitute(rec.event.head, subst),
             achieves_goal=substitute(rec.goal_raw, subst),
             via_rule=rec.via_rule,
             parent=parent,
+            solution=(rec.event, subst),
         )
     return Plan(steps=tuple(by_id[rec.id] for rec in recs))
 
@@ -514,9 +599,10 @@ def _plans(
 ) -> list[Plan]:
     # distinct plans, each sequence's first derivation; with shrink each
     # plan lowers the bound to its own length, so ties are still found
-    search = _Search(cfg.max_plan_length, _scope(sitn, goal))
+    index, names = _scope(sitn, goal)
+    search = _Search(cfg.max_plan_length, names)
     plans: dict[tuple, Plan] = {}
-    for recs, _, subst in _plan(goal, sitn, (), Substitution(), 0, kb, search, None):
+    for recs, _, subst in _plan(goal, index, (), Substitution(), 0, kb, search, None):
         plan = _finalize(recs, subst)
         plans.setdefault(plan_sort_key(plan), plan)
         if shrink:

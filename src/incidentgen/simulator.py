@@ -145,14 +145,16 @@ def apply_event(
     """Execute one ground event against a situation.
 
     Verifies the matching definition's preconditions (the solution from
-    ``first_application`` binds any open variables), applies its effects,
-    and returns the finished trace step.
+    ``first_application`` binds any open variables, the one the planner
+    chose if ``justification`` records it), applies its effects, and
+    returns the finished trace step.
     """
     match = kb.match_event(event, kind=kind)
     if match is None:
         raise UnknownEventError(event)
     event_def, head_subst = match
-    solution = first_application(event_def, sitn, kb, head_subst)
+    planned = justification.solution if justification is not None else None
+    solution = first_application(event_def, sitn, kb, head_subst, planned)
     if solution is None:
         missing = _first_missing(event_def.pcs, sitn, kb, head_subst)
         raise PreconditionViolationError(event, missing, steps)

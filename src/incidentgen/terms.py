@@ -226,11 +226,12 @@ def term_key(term: Term):
     of keys compare the way lists of terms do, so a sequence of plans
     can be ordered by mapping term_key over each plan.
     """
-    if isinstance(term, Variable):
+    kind = type(term)
+    if kind is Variable:
         return (0, term.name)
-    if isinstance(term, Atom):
+    if kind is Atom:
         return (1, term.name)
-    return (2, len(term.args), term.functor, tuple(term_key(arg) for arg in term.args))
+    return (2, len(term.args), term.functor, tuple([term_key(arg) for arg in term.args]))
 
 
 def format_term(term: Term) -> str:
@@ -269,9 +270,10 @@ def variables(term: Term) -> list[Variable]:
 def signature(term: Term) -> Optional[tuple[str, int]]:
     """(functor, arity) of a compound, (name, 0) of an atom, None for a
     variable. Non-variable terms whose signatures differ cannot unify."""
-    if isinstance(term, Compound):
+    kind = type(term)
+    if kind is Compound:
         return term.functor, len(term.args)
-    return (term.name, 0) if isinstance(term, Atom) else None
+    return (term.name, 0) if kind is Atom else None
 
 
 def fresh_floor(terms: Iterable[Term]) -> int:

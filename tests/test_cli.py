@@ -113,6 +113,23 @@ def test_generate_json_single_incident(run):
     ]
 
 
+def test_generate_runs_each_step_under_the_planners_solution(run, tmp_path):
+    # two solutions of p(X) apply; only X = two reaches the goal, and the
+    # planner chose it, so the story must not run the step with X = one
+    kb = tmp_path / "two.kb"
+    kb.write_text(
+        'action a {pre: p(X); del: q(X); add: r(X); text: "a {X}";}\n'
+        "init {p(one); p(two); q(one); q(two);}\n"
+        "goal r(two).\n"
+    )
+    assert run("plan", "--kb", str(kb)) == (0, "a\nquality: 90\n", "")
+    assert run("generate", "--kb", str(kb), "--prob", "0") == (0, "a two\n", "")
+    code, out, _ = run("generate", "--kb", str(kb), "--prob", "0", "--format", "json")
+    assert code == 0
+    [step] = json.loads(out)["steps"]
+    assert step["post"] == ["p(one)", "p(two)", "q(one)", "r(two)"]
+
+
 def test_generate_json_many_incidents(run):
     code, out, _ = run("generate", "--seed", "9", "--count", "4", "--format", "json")
     assert code == 0

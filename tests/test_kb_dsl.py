@@ -1,11 +1,16 @@
 """Definition-language parsing, validation, and serialization."""
 
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from incidentgen import (
     KnowledgeBase,
     ParseError,
     TextTemplate,
+    load_aviation,
     load_kb,
     parse_kb,
     parse_kb_with_diagnostics,
@@ -211,3 +216,26 @@ def test_template_parsing():
 def test_bundled_data_paths():
     assert aviation_kb_path().exists()
     assert data_path("incident.grammar").exists()
+
+
+def test_a_knowledge_base_hashes_once_and_pickles_without_its_hash(kb):
+    again = load_aviation()
+    assert again is not kb and again == kb and hash(again) == hash(kb)
+    assert "_hash" in kb.__dict__
+    copy = pickle.loads(pickle.dumps(kb))
+    assert "_hash" not in copy.__dict__ and copy == kb and hash(copy) == hash(kb)
+    # another interpreter hashes strings with another seed, so a copy
+    # carrying this one's hash would miss every cache keyed by the KB
+    script = (
+        "import pickle, sys; from incidentgen import load_aviation; "
+        "copy = pickle.loads(sys.stdin.buffer.read()); "
+        "print(hash(copy) == hash(load_aviation()))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(kb),
+        capture_output=True,
+        env={"PYTHONPATH": ":".join(sys.path), "PYTHONHASHSEED": "1"},
+        check=True,
+    )
+    assert done.stdout == b"True\n"

@@ -38,6 +38,7 @@ from incidentgen import (
 )
 from incidentgen import planner, search, simulator
 from incidentgen.planner import _achieves_iter
+from incidentgen.terms import signature
 from conftest import facts
 
 NOMINAL = tuple(
@@ -546,6 +547,32 @@ def test_plans_and_their_fresh_names_match_the_reference(kb):
     bound = 3
     got = enumerate_plans(kb.goal, kb.init, kb, PlannerConfig(max_plan_length=bound))
     assert {p.actions for p in got} == backward_plan_set(kb.goal, kb.init, kb, bound)
+
+
+@given(nonground_kbs(), st.data())
+def test_a_derived_situation_index_equals_one_built_from_scratch(kb, data):
+    # a search branch derives its index from its parent's, lazily, one
+    # signature at a time; whatever groups are asked for and in whatever
+    # order, each must be the group a fresh index of the same facts has
+    pool = [
+        *kb.init,
+        *(t for e in kb.events for t in (*e.dels, *e.adds)),
+        Variable("V"),  # a variable fact heads every group
+    ]
+    sigs = sorted({None, ("absent", 0), *map(signature, pool)}, key=str)
+    held = frozenset(kb.init)
+    index = planner._Index.of(held)
+    for _ in range(data.draw(st.integers(1, 4), label="steps")):
+        ordered = sorted(held, key=term_key)
+        drop = data.draw(st.lists(st.sampled_from(ordered), unique=True)) if held else []
+        add = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+        index = index.after(drop, add)
+        held = held.difference(drop) | frozenset(add)
+        fresh = planner._Index.of(held)
+        for sig in data.draw(st.lists(st.sampled_from(sigs)), label="asked"):
+            assert index.group(sig) == fresh.group(sig)
+    for sig in sigs:
+        assert index.group(sig) == fresh.group(sig)
 
 
 @settings(max_examples=200)
