@@ -26,13 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .dsl import (
-    ParseError,
-    load_kb,
-    parse_kb_with_diagnostics,
-    parse_term,
-    validate_kb,
-)
+from .dsl import Diagnostic, ParseError, parse_kb_with_diagnostics, parse_term, validate_kb
 from .grammar import _expansions_and_dead_ends, expand, load_grammar
 from .kb import KnowledgeBase, aviation_kb_path, data_path
 from .narrate import STYLES, explain, format_explanation, render_event, render_story
@@ -66,6 +60,15 @@ class RunManifest:
     count: int
     version: str
 
+    def __post_init__(self) -> None:
+        # a manifest obeys the limits of the flags it records
+        if self.mode not in ("table", "seed"):
+            raise ValueError(f"mode must be 'table' or 'seed', not {self.mode!r}")
+        if self.count < 1:
+            raise ValueError("count must be at least 1")
+        if any(index < 0 for index, _ in self.injection_schedule):
+            raise ValueError("step number must not be negative")
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -90,11 +93,20 @@ class RunManifest:
             raise ValueError(f"malformed manifest: {err}") from None
 
 
+def _checked(
+    path: str, require_init_goal: bool
+) -> tuple[Optional[KnowledgeBase], list[Diagnostic]]:
+    """The knowledge base at ``path``, or None if it does not parse, and
+    every diagnostic that parsing and then validating it found."""
+    kb, diags = parse_kb_with_diagnostics(Path(path).read_text(), path, require_init_goal)
+    if kb is not None:
+        diags += validate_kb(kb, filename=path)
+    return kb, diags
+
+
 def _load_checked(path: str, require_init_goal: bool = True) -> KnowledgeBase:
-    kb = load_kb(path, require_init_goal)
-    errors = [d for d in validate_kb(kb, filename=str(path)) if d.severity == "error"]
-    if errors:
-        raise ParseError(errors)
+    kb, diags = _checked(path, require_init_goal)
+    ParseError.raise_errors(diags)
     return kb
 
 
@@ -137,7 +149,7 @@ def _step_json(step, kb: KnowledgeBase) -> dict:
         "index": step.index,
         "kind": step.kind,
         "event": format_term(step.event),
-        "text": render_event(step.event, kb, bindings=step.bindings),
+        "text": render_event(step.event, kb, step.bindings, step.kind),
         "pre": [format_term(f) for f in sorted(step.pre_situation, key=term_key)],
         "post": [format_term(f) for f in sorted(step.post_situation, key=term_key)],
         "justification": justification,
@@ -245,18 +257,12 @@ def cmd_explain(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    text = Path(args.kb).read_text()
     # adversary knowledge bases have no goal and may have no init facts
-    kb, diags = parse_kb_with_diagnostics(
-        text, filename=args.kb, require_init_goal=False
-    )
-    if kb is not None:
-        diags = diags + validate_kb(kb, filename=args.kb)
+    kb, diags = _checked(args.kb, require_init_goal=False)
     for d in diags:
         print(d, file=sys.stderr)
-    if any(d.severity == "error" for d in diags):
+    if kb is None or any(d.severity == "error" for d in diags):
         return 2
-    assert kb is not None
     goal = "goal set" if kb.goal is not None else "no goal"
     print(
         f"ok: {len(kb.actions)} actions, {len(kb.happenings)} happenings, "

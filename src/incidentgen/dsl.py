@@ -37,13 +37,14 @@ import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .kb import (
     DerivationRule,
     EventDef,
     KnowledgeBase,
     RevisionRule,
+    SourcePos,
     TextTemplate,
     aviation_kb_path,
 )
@@ -84,13 +85,20 @@ class Diagnostic:
 
 
 class ParseError(IncidentgenError):
-    """Parse failed; ``diagnostics`` holds everything that was found."""
+    """Input failed to parse or check; ``diagnostics`` holds its errors."""
 
     exit_status = 2
 
     def __init__(self, diagnostics: Sequence[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("\n".join(str(d) for d in self.diagnostics))
+
+    @classmethod
+    def raise_errors(cls, diagnostics: Iterable[Diagnostic]) -> None:
+        """Raise one holding the errors among ``diagnostics``, if there are any."""
+        errors = [d for d in diagnostics if d.severity == "error"]
+        if errors:
+            raise cls(errors)
 
     def report(self) -> str:
         # each diagnostic already reads "file:line:col: severity: message"
@@ -101,13 +109,11 @@ class ParseError(IncidentgenError):
 class Token:
     kind: str  # NAME, VAR, STRING, PUNCT, EOF
     value: str
-    line: int
-    col: int
+    pos: SourcePos
 
 
 class _ParseFail(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
+    """Unwinds to the nearest recovery point; the problem is already recorded."""
 
 
 def _describe(tok: Token) -> str:
@@ -118,7 +124,7 @@ def _describe(tok: Token) -> str:
     return f"'{tok.value}'"
 
 
-def _tokenize(text: str, filename: str, diags: list[Diagnostic]) -> list[Token]:
+def _tokenize(text: str, error: Callable[[SourcePos, str], None]) -> list[Token]:
     tokens: list[Token] = []
     i, line, line_start = 0, 1, 0
     n = len(text)
@@ -136,13 +142,13 @@ def _tokenize(text: str, filename: str, diags: list[Diagnostic]) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        col = i - line_start + 1
+        at = (line, i - line_start + 1)
         if text.startswith("-->", i):
-            tokens.append(Token("PUNCT", "-->", line, col))
+            tokens.append(Token("PUNCT", "-->", at))
             i += 3
             continue
         if text.startswith(":-", i) or text.startswith("=>", i):
-            tokens.append(Token("PUNCT", text[i : i + 2], line, col))
+            tokens.append(Token("PUNCT", text[i : i + 2], at))
             i += 2
             continue
         if ch == '"':
@@ -157,37 +163,46 @@ def _tokenize(text: str, filename: str, diags: list[Diagnostic]) -> list[Token]:
                     buf.append(text[j])
                     j += 1
             if j >= n or text[j] != '"':
-                diags.append(Diagnostic(filename, line, col, "error", "unterminated string"))
+                error(at, "unterminated string")
                 i = j
                 continue
-            tokens.append(Token("STRING", "".join(buf), line, col))
+            tokens.append(Token("STRING", "".join(buf), at))
             i = j + 1
             continue
-        m = _NAME_RE.match(text, i)
+        m = _NAME_RE.match(text, i) or _VAR_RE.match(text, i)
         if m:
-            tokens.append(Token("NAME", m.group(), line, col))
-            i = m.end()
-            continue
-        m = _VAR_RE.match(text, i)
-        if m:
-            tokens.append(Token("VAR", m.group(), line, col))
+            tokens.append(Token("NAME" if m.re is _NAME_RE else "VAR", m.group(), at))
             i = m.end()
             continue
         if ch in "{}()[],;.|:":
-            tokens.append(Token("PUNCT", ch, line, col))
+            tokens.append(Token("PUNCT", ch, at))
             i += 1
             continue
-        diags.append(Diagnostic(filename, line, col, "error", f"unexpected character {ch!r}"))
+        error(at, f"unexpected character {ch!r}")
         i += 1
-    tokens.append(Token("EOF", "", line, n - line_start + 1))
+    tokens.append(Token("EOF", "", (line, n - line_start + 1)))
     return tokens
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+    """The tokens of one text, read in order, and every problem found in it.
+
+    ``error`` records a problem and reading goes on; ``fail`` records one
+    and raises ``_ParseFail`` to the caller's recovery point.
+    """
+
+    def __init__(self, text: str, filename: str):
         self.filename = filename
+        self.diags: list[Diagnostic] = []
+        self.tokens = _tokenize(text, self.error)
         self.pos = 0
+
+    def error(self, pos: SourcePos, message: str) -> None:
+        self.diags.append(Diagnostic(self.filename, *pos, "error", message))
+
+    def fail(self, tok: Token, message: str) -> NoReturn:
+        self.error(tok.pos, message)
+        raise _ParseFail
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -198,69 +213,63 @@ class _TokenStream:
             self.pos += 1
         return tok
 
-    def fail(self, tok: Token, message: str) -> None:
-        raise _ParseFail(Diagnostic(self.filename, tok.line, tok.col, "error", message))
-
-    def expect_punct(self, value: str) -> Token:
+    def at(self, punct: str) -> bool:
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == value:
+        return tok.kind == "PUNCT" and tok.value == punct
+
+    def accept(self, punct: str) -> bool:
+        """Step past ``punct`` if it is next."""
+        found = self.at(punct)
+        if found:
+            self.advance()
+        return found
+
+    def expect(self, value: Optional[str], kind: str = "PUNCT") -> Token:
+        """The next token, which must be of ``kind`` and, unless ``value``
+        is None, spelt ``value``."""
+        tok = self.peek()
+        if tok.kind == kind and value in (None, tok.value):
             return self.advance()
-        self.fail(tok, f"expected '{value}', got {_describe(tok)}")
-
-    def expect_keyword(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.value == value:
-            return self.advance()
-        self.fail(tok, f"expected '{value}', got {_describe(tok)}")
-
-    def expect_string(self) -> Token:
-        tok = self.peek()
-        if tok.kind == "STRING":
-            return self.advance()
-        self.fail(tok, f"expected a string, got {_describe(tok)}")
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == value
+        wanted = "a string" if value is None else f"'{value}'"
+        self.fail(tok, f"expected {wanted}, got {_describe(tok)}")
 
 
-def _read_term(
-    ts: _TokenStream, anon: Iterator[int], diags: list[Diagnostic]
-) -> Term:
+def _read_term(ts: _TokenStream, anon: Iterator[int]) -> Term:
     tok = ts.peek()
-    if tok.kind == "VAR":
-        ts.advance()
-        if tok.value == "_":
-            return Variable(f"_{next(anon)}")
-        if _RESERVED_VAR_RE.fullmatch(tok.value):
-            diags.append(
-                Diagnostic(
-                    ts.filename,
-                    tok.line,
-                    tok.col,
-                    "error",
-                    f"variable name '{tok.value}' is reserved for anonymous variables",
-                )
-            )
-        return Variable(tok.value)
+    if tok.kind not in ("VAR", "NAME"):
+        ts.fail(tok, f"expected a term, got {_describe(tok)}")
+    ts.advance()
     if tok.kind == "NAME":
-        ts.advance()
-        if ts.at_punct("("):
-            ts.advance()
-            args = [_read_term(ts, anon, diags)]
-            while ts.at_punct(","):
-                ts.advance()
-                args.append(_read_term(ts, anon, diags))
-            ts.expect_punct(")")
-            return Compound(tok.value, tuple(args))
+        if ts.accept("("):
+            args = _read_terms(ts, anon)
+            ts.expect(")")
+            return Compound(tok.value, args)
         return Atom(tok.value)
-    ts.fail(tok, f"expected a term, got {_describe(tok)}")
+    if tok.value == "_":
+        return Variable(f"_{next(anon)}")
+    if _RESERVED_VAR_RE.fullmatch(tok.value):
+        ts.error(tok.pos, f"variable name '{tok.value}' is reserved for anonymous variables")
+    return Variable(tok.value)
+
+
+def _read_terms(ts: _TokenStream, anon: Iterator[int]) -> tuple[Term, ...]:
+    """A non-empty comma-separated list of terms."""
+    terms = [_read_term(ts, anon)]
+    while ts.accept(","):
+        terms.append(_read_term(ts, anon))
+    return tuple(terms)
+
+
+def _read_head(ts: _TokenStream, anon: Iterator[int], what: str, at: Token) -> Term:
+    head = _read_term(ts, anon)
+    if isinstance(head, Variable):
+        ts.fail(at, f"{what} head must be an atom or a compound term")
+    return head
 
 
 class _KbParser:
-    def __init__(self, ts: _TokenStream, diags: list[Diagnostic]):
+    def __init__(self, ts: _TokenStream):
         self.ts = ts
-        self.diags = diags
         self.events: list[EventDef] = []
         self.rules: list[DerivationRule] = []
         self.revisions: list[RevisionRule] = []
@@ -269,26 +278,18 @@ class _KbParser:
 
     def parse(self) -> None:
         ts = self.ts
-        while ts.peek().kind != "EOF":
-            tok = ts.peek()
-            if tok.kind == "NAME" and tok.value in TOP_KEYWORDS:
-                try:
+        while (tok := ts.peek()).kind != "EOF":
+            try:
+                if tok.kind == "NAME" and tok.value in TOP_KEYWORDS:
                     getattr(self, f"_parse_{tok.value}")()
-                except _ParseFail as err:
-                    self.diags.append(err.diagnostic)
-                    self._sync()
-            else:
-                self.diags.append(
-                    Diagnostic(
-                        ts.filename,
-                        tok.line,
-                        tok.col,
-                        "error",
-                        f"expected a declaration "
-                        f"({', '.join(TOP_KEYWORDS)}), got {_describe(tok)}",
+                else:
+                    ts.advance()  # recovery starts after the stray token
+                    ts.fail(
+                        tok,
+                        f"expected a declaration ({', '.join(TOP_KEYWORDS)}), "
+                        f"got {_describe(tok)}",
                     )
-                )
-                ts.advance()
+            except _ParseFail:
                 self._sync()
 
     def _sync(self) -> None:
@@ -312,176 +313,119 @@ class _KbParser:
                 elif tok.value == "." and depth <= 0:
                     return
 
-    def _term_list(self, anon: Iterator[int], stop: str) -> list[Term]:
-        ts = self.ts
-        if ts.at_punct(stop):
-            return []
-        terms = [_read_term(ts, anon, self.diags)]
-        while ts.at_punct(","):
-            ts.advance()
-            terms.append(_read_term(ts, anon, self.diags))
-        return terms
-
-    def _parse_action(self) -> None:
-        self._event_decl("action")
-
-    def _parse_happening(self) -> None:
-        self._event_decl("happening")
-
-    def _event_decl(self, kind: str) -> None:
+    def _parse_event(self) -> None:
         ts = self.ts
         kw = ts.advance()
         anon = itertools.count(1)
-        head = _read_term(ts, anon, self.diags)
-        if isinstance(head, Variable):
-            ts.fail(kw, "event head must be an atom or a compound term")
-        ts.expect_punct("{")
-        sections: dict[str, tuple[Term, ...]] = {}
-        template: Optional[TextTemplate] = None
-        saw_text = False
-        while True:
+        head = _read_head(ts, anon, "event", kw)
+        ts.expect("{")
+        sections: dict = {}
+        while not ts.accept("}"):
             tok = ts.peek()
-            if tok.kind == "PUNCT" and tok.value == "}":
-                ts.advance()
-                break
             if tok.kind == "EOF":
                 ts.fail(tok, "unterminated event block")
             if tok.kind != "NAME" or tok.value not in ("pre", "del", "add", "text"):
                 ts.fail(tok, f"expected pre, del, add, or text, got {_describe(tok)}")
-            ts.advance()
-            ts.expect_punct(":")
-            if tok.value == "text":
-                stok = ts.expect_string()
-                ts.expect_punct(";")
-                if saw_text:
-                    self.diags.append(
-                        Diagnostic(
-                            ts.filename, stok.line, stok.col, "error",
-                            "duplicate text section",
-                        )
-                    )
-                    continue
-                saw_text = True
-                try:
-                    template = TextTemplate.parse(stok.value)
-                except ValueError as err:
-                    self.diags.append(
-                        Diagnostic(ts.filename, stok.line, stok.col, "error", str(err))
-                    )
+            name = ts.advance().value
+            ts.expect(":")
+            if name == "text":
+                # a text section's problems are reported at its string
+                tok = ts.expect(None, "STRING")
+                value = tok.value
             else:
-                terms = self._term_list(anon, stop=";")
-                ts.expect_punct(";")
-                if tok.value in sections:
-                    self.diags.append(
-                        Diagnostic(
-                            ts.filename, tok.line, tok.col, "error",
-                            f"duplicate {tok.value} section",
-                        )
-                    )
-                    continue
-                sections[tok.value] = tuple(terms)
+                value = () if ts.at(";") else _read_terms(ts, anon)
+            ts.expect(";")
+            if name in sections:
+                ts.error(tok.pos, f"duplicate {name} section")
+                continue
+            if name == "text":
+                try:
+                    value = TextTemplate.parse(value)
+                except ValueError as err:
+                    ts.error(tok.pos, str(err))
+                    value = None
+            sections[name] = value
         self.events.append(
             EventDef(
-                kind=kind,
+                kind=kw.value,
                 head=head,
                 pcs=sections.get("pre", ()),
                 dels=sections.get("del", ()),
                 adds=sections.get("add", ()),
-                template=template,
-                pos=(kw.line, kw.col),
+                template=sections.get("text"),
+                pos=kw.pos,
             )
         )
+
+    _parse_action = _parse_happening = _parse_event
 
     def _parse_rule(self) -> None:
         ts = self.ts
         kw = ts.advance()
         anon = itertools.count(1)
-        head = _read_term(ts, anon, self.diags)
-        if isinstance(head, Variable):
-            ts.fail(kw, "rule head must be an atom or a compound term")
-        ts.expect_punct(":-")
-        body = self._term_list(anon, stop=".")
-        dot = ts.expect_punct(".")
-        if not body:
-            self.diags.append(
-                Diagnostic(
-                    ts.filename, dot.line, dot.col, "error",
-                    "rule needs at least one body goal",
-                )
-            )
-            return
-        self.rules.append(DerivationRule(head, tuple(body), pos=(kw.line, kw.col)))
+        head = _read_head(ts, anon, "rule", kw)
+        ts.expect(":-")
+        body = () if ts.at(".") else _read_terms(ts, anon)
+        dot = ts.expect(".")
+        if body:
+            self.rules.append(DerivationRule(head, body, pos=kw.pos))
+        else:
+            ts.error(dot.pos, "rule needs at least one body goal")
 
     def _parse_revise(self) -> None:
         ts = self.ts
         kw = ts.advance()
         anon = itertools.count(1)
-        old = _read_term(ts, anon, self.diags)
-        ts.expect_keyword("when")
-        trigger = _read_term(ts, anon, self.diags)
-        ts.expect_punct("=>")
-        new = _read_term(ts, anon, self.diags)
-        ts.expect_punct(".")
-        self.revisions.append(RevisionRule(old, trigger, new, pos=(kw.line, kw.col)))
+        old = _read_term(ts, anon)
+        ts.expect("when", "NAME")
+        trigger = _read_term(ts, anon)
+        ts.expect("=>")
+        new = _read_term(ts, anon)
+        ts.expect(".")
+        self.revisions.append(RevisionRule(old, trigger, new, pos=kw.pos))
 
     def _parse_init(self) -> None:
         ts = self.ts
         ts.advance()
         anon = itertools.count(1)
-        ts.expect_punct("{")
-        while not ts.at_punct("}"):
-            if ts.peek().kind == "EOF":
-                ts.fail(ts.peek(), "unterminated init block")
+        ts.expect("{")
+        while not ts.accept("}"):
             start = ts.peek()
-            fact = _read_term(ts, anon, self.diags)
-            ts.expect_punct(";")
-            if not ground(fact):
-                self.diags.append(
-                    Diagnostic(
-                        ts.filename, start.line, start.col, "error",
-                        f"initial fact must be ground: {format_term(fact)}",
-                    )
-                )
-                continue
-            self.init_facts.append(fact)
-        ts.advance()
+            if start.kind == "EOF":
+                ts.fail(start, "unterminated init block")
+            fact = _read_term(ts, anon)
+            ts.expect(";")
+            if ground(fact):
+                self.init_facts.append(fact)
+            else:
+                ts.error(start.pos, f"initial fact must be ground: {format_term(fact)}")
 
     def _parse_goal(self) -> None:
         ts = self.ts
         kw = ts.advance()
-        anon = itertools.count(1)
-        goal = _read_term(ts, anon, self.diags)
-        ts.expect_punct(".")
-        if self.goal is not None:
-            self.diags.append(
-                Diagnostic(
-                    ts.filename, kw.line, kw.col, "error", "duplicate goal declaration"
-                )
-            )
-            return
-        self.goal = goal
+        goal = _read_term(ts, itertools.count(1))
+        ts.expect(".")
+        if self.goal is None:
+            self.goal = goal
+        else:
+            ts.error(kw.pos, "duplicate goal declaration")
 
 
 def parse_kb_with_diagnostics(
     text: str, filename: str = "<kb>", require_init_goal: bool = True
 ) -> tuple[Optional[KnowledgeBase], list[Diagnostic]]:
     """Parse, recovering from errors; returns (kb or None, diagnostics)."""
-    diags: list[Diagnostic] = []
-    tokens = _tokenize(text, filename, diags)
-    parser = _KbParser(_TokenStream(tokens, filename), diags)
+    ts = _TokenStream(text, filename)
+    parser = _KbParser(ts)
     parser.parse()
     # a goal is planned from the init facts, so declaring one needs them
-    eof = tokens[-1]
+    eof = ts.tokens[-1].pos
     if require_init_goal and parser.goal is None:
-        diags.append(
-            Diagnostic(filename, eof.line, eof.col, "error", "missing goal declaration")
-        )
+        ts.error(eof, "missing goal declaration")
     if (require_init_goal or parser.goal is not None) and not parser.init_facts:
-        diags.append(
-            Diagnostic(filename, eof.line, eof.col, "error", "missing or empty init block")
-        )
-    if any(d.severity == "error" for d in diags):
-        return None, diags
+        ts.error(eof, "missing or empty init block")
+    if ts.diags:  # the parser reports errors only
+        return None, ts.diags
     kb = KnowledgeBase(
         events=tuple(parser.events),
         rules=tuple(parser.rules),
@@ -489,15 +433,14 @@ def parse_kb_with_diagnostics(
         init=frozenset(parser.init_facts),
         goal=parser.goal,
     )
-    return kb, diags
+    return kb, ts.diags
 
 
 def parse_kb(
     text: str, filename: str = "<kb>", require_init_goal: bool = True
 ) -> KnowledgeBase:
     kb, diags = parse_kb_with_diagnostics(text, filename, require_init_goal)
-    if kb is None:
-        raise ParseError(diags)
+    ParseError.raise_errors(diags)
     return kb
 
 
@@ -513,20 +456,15 @@ def load_aviation() -> KnowledgeBase:
 
 def parse_term(text: str, filename: str = "<term>") -> Term:
     """Parse a single term, e.g. a goal or event given on a command line."""
-    diags: list[Diagnostic] = []
-    tokens = _tokenize(text, filename, diags)
-    ts = _TokenStream(tokens, filename)
-    term: Optional[Term] = None
+    ts = _TokenStream(text, filename)
     try:
-        term = _read_term(ts, itertools.count(1), diags)
+        term = _read_term(ts, itertools.count(1))
         trailing = ts.peek()
         if trailing.kind != "EOF":
             ts.fail(trailing, f"unexpected input after term: {_describe(trailing)}")
-    except _ParseFail as err:
-        diags.append(err.diagnostic)
-    if any(d.severity == "error" for d in diags):
-        raise ParseError(diags)
-    assert term is not None
+    except _ParseFail:
+        pass
+    ParseError.raise_errors(ts.diags)
     return term
 
 
@@ -543,8 +481,14 @@ def validate_kb(kb: KnowledgeBase, filename: str = "<kb>") -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
 
-    def pos(p) -> tuple[int, int]:
-        return p if p is not None else (0, 0)
+    def report(pos: Optional[SourcePos], severity: str, message: str) -> None:
+        # library code may build clauses with no source position
+        diags.append(Diagnostic(filename, *(pos or (0, 0)), severity, message))
+
+    def unbound(terms: Iterable[Term], binders: Sequence[Term]) -> list[str]:
+        # names of the variables of terms that no binder holds, in order
+        bound = {v.name for t in binders for v in variables(t)}
+        return [v.name for t in terms for v in variables(t) if v.name not in bound]
 
     # fact shapes some situation can contain
     establishable = {signature(fact) for fact in kb.init}
@@ -560,106 +504,53 @@ def validate_kb(kb: KnowledgeBase, filename: str = "<kb>") -> list[Diagnostic]:
     names = FreshNames()
     [goals] = names.rename(wanted)
 
-    seen: set[tuple[str, str, int]] = set()
+    seen: set[tuple[str, str]] = set()
     for event in kb.events:
-        key = (event.kind, event.name, event.arity)
-        line, col = pos(event.pos)
-        if key in seen:
-            diags.append(
-                Diagnostic(
-                    filename, line, col, "error",
-                    f"duplicate definition of {event.kind} {event.name}/{event.arity}",
+        at, label = event.pos, f"{event.name}/{event.arity}"
+        if (event.kind, label) in seen:
+            report(at, "error", f"duplicate definition of {event.kind} {label}")
+        seen.add((event.kind, label))
+        binders = (event.head, *event.pcs)
+        for effect, terms in (("delete", event.dels), ("add", event.adds)):
+            for name in unbound(terms, binders):
+                report(
+                    at, "error", f"uninstantiated {effect}: variable {name} of {label} "
+                    "is bound by neither head nor preconditions",
                 )
-            )
-        else:
-            seen.add(key)
-        bound = {
-            v.name
-            for t in (event.head, *event.pcs)
-            for v in variables(t)
-        }
-        for label, terms in (("delete", event.dels), ("add", event.adds)):
-            for t in terms:
-                for v in variables(t):
-                    if v.name not in bound:
-                        diags.append(
-                            Diagnostic(
-                                filename, line, col, "error",
-                                f"uninstantiated {label}: variable {v.name} of "
-                                f"{event.name}/{event.arity} is bound by neither "
-                                f"head nor preconditions",
-                            )
-                        )
         if event.template is not None:
-            for slot in event.template.slot_names():
-                if slot not in bound:
-                    diags.append(
-                        Diagnostic(
-                            filename, line, col, "error",
-                            f"template placeholder {{{slot}}} of {event.name}/"
-                            f"{event.arity} is bound by neither head nor preconditions",
-                        )
-                    )
-        elif event.kind == "action":
-            diags.append(
-                Diagnostic(
-                    filename, line, col, "warning",
-                    f"action {event.name}/{event.arity} has no text template",
+            # a placeholder names a variable of the head or preconditions
+            for slot in unbound(map(Variable, event.template.slot_names()), binders):
+                report(
+                    at, "error", f"template placeholder {{{slot}}} of {label} "
+                    "is bound by neither head nor preconditions",
                 )
-            )
+        elif event.kind == "action":
+            report(at, "warning", f"action {label} has no text template")
         if event.kind == "action":
             [adds] = names.rename(event.adds)
-            usable = any(unify(add, goal) is not None for add in adds for goal in goals)
-            if not usable:
-                diags.append(
-                    Diagnostic(
-                        filename, line, col, "warning",
-                        f"action {event.name}/{event.arity} adds nothing any "
-                        f"goal, rule, or precondition can use",
-                    )
+            if not any(unify(add, goal) is not None for add in adds for goal in goals):
+                report(
+                    at, "warning",
+                    f"action {label} adds nothing any goal, rule, or precondition can use",
                 )
         else:
-            for pc in event.pcs:
-                sig = signature(pc)
+            for sig in map(signature, event.pcs):
                 if sig is not None and sig not in establishable:
-                    diags.append(
-                        Diagnostic(
-                            filename, line, col, "warning",
-                            f"precondition {sig[0]}/{sig[1]} of happening "
-                            f"{event.name}/{event.arity} is never established",
-                        )
+                    report(
+                        at, "warning", f"precondition {sig[0]}/{sig[1]} of happening "
+                        f"{label} is never established",
                     )
     for revision in kb.revisions:
-        line, col = pos(revision.pos)
-        bound = {
-            v.name
-            for t in (revision.old, revision.trigger)
-            for v in variables(t)
-        }
-        for v in variables(revision.new):
-            if v.name not in bound:
-                diags.append(
-                    Diagnostic(
-                        filename, line, col, "error",
-                        f"revised goal variable {v.name} is bound by neither "
-                        f"the pattern nor the trigger",
-                    )
-                )
+        for name in unbound((revision.new,), (revision.old, revision.trigger)):
+            report(
+                revision.pos, "error", f"revised goal variable {name} is bound by "
+                "neither the pattern nor the trigger",
+            )
     for fact in sorted(kb.init, key=term_key):
         if not ground(fact):
-            diags.append(
-                Diagnostic(
-                    filename, 0, 0, "error",
-                    f"initial fact must be ground: {format_term(fact)}",
-                )
-            )
+            report(None, "error", f"initial fact must be ground: {format_term(fact)}")
     if kb.goal is not None and not ground(kb.goal):
-        diags.append(
-            Diagnostic(
-                filename, 0, 0, "error",
-                f"goal must be ground: {format_term(kb.goal)}",
-            )
-        )
+        report(None, "error", f"goal must be ground: {format_term(kb.goal)}")
     return diags
 
 

@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from .dsl import (
-    Diagnostic,
-    ParseError,
-    _ParseFail,
-    _read_term,
-    _tokenize,
-    _TokenStream,
-)
+from .dsl import ParseError, _ParseFail, _read_head, _read_term, _read_terms, _TokenStream
 from .kb import SourcePos
 from .rng import RngState, rnd_member
 from .terms import (
@@ -110,46 +103,33 @@ class Grammar:
 
 def parse_grammar(text: str, filename: str = "<grammar>") -> Grammar:
     """Parse grammar text, reporting every problem found."""
-    diags: list[Diagnostic] = []
-    tokens = _tokenize(text, filename, diags)
-    ts = _TokenStream(tokens, filename)
+    ts = _TokenStream(text, filename)
     productions: list[Production] = []
-    while ts.peek().kind != "EOF":
-        start = ts.peek()
+    while (start := ts.peek()).kind != "EOF":
         anon = itertools.count(1)
         try:
-            head = _read_term(ts, anon, diags)
-            if isinstance(head, Variable):
-                ts.fail(start, "production head must be an atom or a compound term")
-            ts.expect_punct("-->")
-            body: list[BodyItem] = []
-            while True:
-                if ts.at_punct("["):
-                    ts.advance()
-                    items: list[Term] = []
-                    if not ts.at_punct("]"):
-                        items.append(_read_term(ts, anon, diags))
-                        while ts.at_punct(","):
-                            ts.advance()
-                            items.append(_read_term(ts, anon, diags))
-                    ts.expect_punct("]")
-                    body.append(TerminalList(tuple(items)))
-                else:
-                    body.append(NonterminalRef(_read_term(ts, anon, diags)))
-                if ts.at_punct(","):
-                    ts.advance()
-                    continue
-                ts.expect_punct(".")
-                break
-            productions.append(Production(head, tuple(body), pos=(start.line, start.col)))
-        except _ParseFail as err:
-            diags.append(err.diagnostic)
+            head = _read_head(ts, anon, "production", start)
+            ts.expect("-->")
+            body = [_read_item(ts, anon)]
+            while ts.accept(","):
+                body.append(_read_item(ts, anon))
+            ts.expect(".")
+            productions.append(Production(head, tuple(body), pos=start.pos))
+        except _ParseFail:
+            # recover at the end of the production
             while ts.peek().kind != "EOF":
                 if ts.advance().value == ".":
                     break
-    if any(d.severity == "error" for d in diags):
-        raise ParseError(diags)
+    ParseError.raise_errors(ts.diags)
     return Grammar(tuple(productions))
+
+
+def _read_item(ts: _TokenStream, anon: Iterator[int]) -> BodyItem:
+    if not ts.accept("["):
+        return NonterminalRef(_read_term(ts, anon))
+    items = () if ts.at("]") else _read_terms(ts, anon)
+    ts.expect("]")
+    return TerminalList(items)
 
 
 def load_grammar(path) -> Grammar:

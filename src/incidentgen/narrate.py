@@ -57,15 +57,19 @@ class Explanation:
 
 
 def render_event(
-    event: Term, kb: KnowledgeBase, bindings: Optional[Substitution] = None
+    event: Term,
+    kb: KnowledgeBase,
+    bindings: Optional[Substitution] = None,
+    kind: Optional[str] = None,
 ) -> str:
     """One English line for a ground event term.
 
     Slots are filled from unifying the event with its definition's
     head; slots bound only by preconditions need the bindings captured
-    on the trace step.
+    on the trace step. ``kind`` ("action" or "happening") picks between
+    an action and a happening that share a name and arity.
     """
-    match = kb.match_event(event)
+    match = kb.match_event(event, kind)
     if match is None:
         raise UnknownEventError(event)
     event_def, head_subst = match
@@ -94,7 +98,7 @@ def render_story(trace: Trace, kb: KnowledgeBase, style: str = "plain") -> str:
     """
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r} (choose from {STYLES})")
-    lines = [render_event(step.event, kb, step.bindings) for step in trace.steps]
+    lines = [render_event(step.event, kb, step.bindings, step.kind) for step in trace.steps]
     if style == "storybook":
         lines = ["Once upon a time..."] + ["       " + line for line in lines]
     if not lines:

@@ -80,13 +80,14 @@ class SearchConfig:
 def _applicable_actions(
     sitn: Situation, kb: KnowledgeBase
 ) -> list[tuple[Term, Situation]]:
-    """Ground action instances that apply in sitn, with their results, in
-    the order ``planner.applicable`` gives them."""
+    """Action instances that apply in sitn with ground effects, with their
+    results, in the order ``planner.applicable`` gives them. An instance
+    may keep a head variable that no effect mentions."""
     out: list[tuple[Term, Situation]] = []
     for instance, fresh, solution in applicable(kb.actions, sitn, kb):
-        if ground(instance):
-            dels = [substitute(d, solution) for d in fresh.dels]
-            adds = [substitute(a, solution) for a in fresh.adds]
+        dels = [substitute(d, solution) for d in fresh.dels]
+        adds = [substitute(a, solution) for a in fresh.adds]
+        if all(map(ground, dels + adds)):
             out.append((instance, apply_effects(dels, adds, sitn)))
     return out
 

@@ -278,25 +278,31 @@ def backward_plan_set(
 def _ground_moves(
     sitn: Situation, kb: KnowledgeBase
 ) -> list[tuple[Term, Situation]]:
+    # the moves whose effects are ground; a head may keep a variable
     moves = []
     names = FreshNames(fresh_floor(sitn))
     for event in kb.actions:
         fresh = fresh_event(event, names)
         for s in _holds_all(fresh.pcs, sitn, kb.rules, Substitution(), names):
             instance = substitute(fresh.head, s)
-            if not ground(instance):
-                continue
             dels = [substitute(d, s) for d in fresh.dels]
             if any(d not in sitn for d in dels):
                 continue
-            post = (sitn - frozenset(dels)) | frozenset(
-                substitute(a, s) for a in fresh.adds
-            )
-            moves.append((instance, post))
+            adds = [substitute(a, s) for a in fresh.adds]
+            moves.append((instance, dels, adds))
+    # an instance applies under its first qualifying solution, and is a
+    # move only if that solution grounds every effect
     unique = {}
-    for instance, post in moves:
-        unique.setdefault(instance, post)
-    return sorted(unique.items(), key=lambda pair: term_key(pair[0]))
+    for instance, dels, adds in moves:
+        unique.setdefault(instance, (dels, adds))
+    return sorted(
+        (
+            (instance, (sitn - frozenset(dels)) | frozenset(adds))
+            for instance, (dels, adds) in unique.items()
+            if all(ground(t) for t in dels + adds)
+        ),
+        key=lambda pair: term_key(pair[0]),
+    )
 
 
 def forward_sequence_set(

@@ -130,6 +130,27 @@ def test_generate_runs_each_step_under_the_planners_solution(run, tmp_path):
     assert step["post"] == ["p(one)", "p(two)", "q(one)", "r(two)"]
 
 
+def test_a_happening_is_narrated_with_its_own_template(run, tmp_path):
+    # an action and a happening may share a name and arity; each step is
+    # narrated with the template of its own kind
+    kb = tmp_path / "alarm.kb"
+    kb.write_text(
+        'action alarm {pre: armed; add: rung; text: "The crew sounded the alarm.";}\n'
+        'happening alarm {pre: armed; add: noise; text: "An alarm went off by itself.";}\n'
+        'action finish {pre: armed; add: done; text: "The crew finished.";}\n'
+        "init {armed;}\n"
+        "goal done.\n"
+    )
+    argv = ("generate", "--kb", str(kb), "--inject", "0:alarm")
+    assert run(*argv) == (0, "An alarm went off by itself.\nThe crew finished.\n", "")
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert [(s["kind"], s["text"]) for s in json.loads(out)["steps"]] == [
+        ("happening", "An alarm went off by itself."),
+        ("action", "The crew finished."),
+    ]
+
+
 def test_generate_json_many_incidents(run):
     code, out, _ = run("generate", "--seed", "9", "--count", "4", "--format", "json")
     assert code == 0
@@ -463,6 +484,20 @@ def test_forward_adversary_renders_the_struggle(run):
     )
 
 
+def test_forward_takes_an_action_whose_head_keeps_a_variable(run, tmp_path):
+    # a(X) binds X nowhere, but its effects are ground, so it applies
+    kb = tmp_path / "open.kb"
+    kb.write_text(
+        'action a(X) {add: pa; text: "a {X}";}\n'
+        'action b(Y) {pre: pa; add: done; text: "b {Y}";}\n'
+        'action c(Y) {pre: pa; add: done; text: "c {Y}";}\n'
+        "init {s;}\n"
+        "goal done.\n"
+    )
+    assert run("plan", "--kb", str(kb)) == (0, "a(_G4)\nc(_G3)\nquality: 80\n", "")
+    assert run("forward", "--kb", str(kb)) == (0, "a(_G1)\nb(_G2)\n", "")
+
+
 def test_forward_depth_failure(run):
     code, _, err = run("forward", "--depth", "2")
     assert code == 1 and "within depth 2" in err
@@ -529,6 +564,27 @@ def _replay_bad_injection(tmp_path):
     path = _manifest_file(tmp_path, "inject.json", injection_schedule=[[0, "foo("]])
     return ["generate", "--replay", str(path)], (
         "<term>:1:5: error: expected a term, got end of input\n"
+    )
+
+
+def _replay_no_incidents(tmp_path):
+    path = _manifest_file(tmp_path, "none.json", count=0)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: count must be at least 1\n"
+    )
+
+
+def _replay_negative_step(tmp_path):
+    path = _manifest_file(tmp_path, "early.json", injection_schedule=[[-1, "ill_passenger"]])
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: step number must not be negative\n"
+    )
+
+
+def _replay_unknown_mode(tmp_path):
+    path = _manifest_file(tmp_path, "banana.json", mode="banana")
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: mode must be 'table' or 'seed', not 'banana'\n"
     )
 
 
@@ -614,6 +670,9 @@ def _forward_kb_without_goal(tmp_path):
         _replay_fancy_style,
         _replay_null_seed,
         _replay_bad_injection,
+        _replay_no_incidents,
+        _replay_negative_step,
+        _replay_unknown_mode,
         _kb_not_utf8,
         _adversary_collides,
         _adversary_fails_validation,
