@@ -225,8 +225,8 @@ class _TokenStream:
         return found
 
     def expect(self, value: Optional[str], kind: str = "PUNCT") -> Token:
-        """The next token, which must be of ``kind`` and, unless ``value``
-        is None, spelt ``value``."""
+        """The next token, which must be a ``kind`` token spelt ``value``;
+        with ``value`` None, any string."""
         tok = self.peek()
         if tok.kind == kind and value in (None, tok.value):
             return self.advance()
