@@ -116,10 +116,9 @@ def parse_grammar(text: str, filename: str = "<grammar>") -> Grammar:
             ts.expect(".")
             productions.append(Production(head, tuple(body), pos=start.pos))
         except _ParseFail:
-            # recover at the end of the production
-            while ts.peek().kind != "EOF":
-                if ts.advance().value == ".":
-                    break
+            # recover after the production's closing '.', not a string "."
+            while ts.peek().kind != "EOF" and not ts.accept("."):
+                ts.advance()
     ParseError.raise_errors(ts.diags)
     return Grammar(tuple(productions))
 

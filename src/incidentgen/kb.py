@@ -193,22 +193,6 @@ class KnowledgeBase:
     init: Situation = frozenset()
     goal: Optional[Term] = None
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # a frozen dataclass rehashes every field on every call, and a
-        # knowledge base keys the search's caches
-        return hash((self.events, self.rules, self.revisions, self.init, self.goal))
-
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes, so a pickled copy
-        # leaves the cached hash behind
-        state = self.__dict__.copy()
-        state.pop("_hash", None)
-        return state
-
     @cached_property
     def actions(self) -> tuple[EventDef, ...]:
         return tuple(e for e in self.events if e.kind == "action")

@@ -5,15 +5,16 @@ from the situation: apply every applicable action, score the results,
 and chase the most promising one (best-first). Scoring delegates back
 to the planner, rating a situation by the length of its best remaining
 plan, which the planner's bounded search finds without enumerating
-longer ones.
+longer ones; 0 means the goal holds. A story scores each situation
+once, in one table keyed by situation.
 
 The adversarial loop plays a protagonist against an antagonist with a
 private action repertoire. Turns alternate strictly, protagonist
 first; the protagonist replans each turn toward its goal, and the
 antagonist plays whichever of its applicable actions leaves the
 protagonist worst off (the exact zero-sum counter). An antagonist
-with nothing applicable passes. Which actions apply, and whether a goal
-holds, are asked of :mod:`incidentgen.planner`.
+with nothing applicable passes. A move that keeps a variable is
+renamed into the story's own scope of fresh names.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .kb import EventDef, KnowledgeBase, Situation
@@ -31,11 +31,10 @@ from .planner import (
     PlanStep,
     applicable,
     apply_effects,
-    iter_satisfying,
     make_best_plan,
 )
 from .simulator import GoalEntry, Trace, apply_event
-from .terms import IncidentgenError, Term, ground, substitute, term_key
+from .terms import FreshNames, IncidentgenError, Term, fresh_floor, ground, substitute, term_key
 
 # score for situations the goal is unreachable from; any reachable
 # situation must rank above it
@@ -50,14 +49,11 @@ class StalemateError(IncidentgenError):
         super().__init__(f"stalemate: goal not reached after {turns} turns")
 
 
-@lru_cache(maxsize=4096)
 def plan_distance(sitn: Situation, goal: Term, kb: KnowledgeBase) -> int:
     """Negated length of the shortest plan from sitn to goal.
 
     0 when the goal already holds, a large negative sentinel when no
-    plan exists within the planner's default length bound. Cached:
-    search revisits the same situations constantly, and every argument
-    is immutable.
+    plan exists within the planner's default length bound.
     """
     try:
         return -len(make_best_plan(goal, sitn, kb).plan)
@@ -92,6 +88,14 @@ def _applicable_actions(
     return out
 
 
+def _score(scores: dict[Situation, int], sitn: Situation, goal: Term, kb: KnowledgeBase) -> int:
+    # a story's goal and knowledge base are fixed, so its table of
+    # plan_distance is keyed by situation
+    if sitn not in scores:
+        scores[sitn] = plan_distance(sitn, goal, kb)
+    return scores[sitn]
+
+
 def forward_search(
     sitn: Situation,
     goal: Term,
@@ -104,34 +108,32 @@ def forward_search(
     broken by insertion order, so results are deterministic. Sequences
     longer than max_depth are not expanded.
     """
-    cfg = cfg or SearchConfig()
+    return _forward(sitn, goal, kb, (cfg or SearchConfig()).max_depth, {})
+
+
+def _forward(
+    sitn: Situation, goal: Term, kb: KnowledgeBase, max_depth: int, scores: dict[Situation, int]
+) -> Plan:
     counter = itertools.count()
     heap: list[tuple[int, int, Situation, tuple[Term, ...]]] = [
-        (-plan_distance(sitn, goal, kb), next(counter), sitn, ())
+        (-_score(scores, sitn, goal, kb), next(counter), sitn, ())
     ]
     visited = {sitn}
     while heap:
-        _, _, here, actions = heapq.heappop(heap)
-        if next(iter_satisfying((goal,), here, kb), None) is not None:
+        priority, _, here, actions = heapq.heappop(heap)
+        if priority == 0:
             return Plan(
                 steps=tuple(PlanStep(action=a, achieves_goal=goal) for a in actions)
             )
-        if len(actions) >= cfg.max_depth:
+        if len(actions) >= max_depth:
             continue
         for instance, post in _applicable_actions(here, kb):
             if post in visited:
                 continue
             visited.add(post)
-            heapq.heappush(
-                heap,
-                (
-                    -plan_distance(post, goal, kb),
-                    next(counter),
-                    post,
-                    actions + (instance,),
-                ),
-            )
-    raise NoPlanFoundError(goal, f"no plan within depth {cfg.max_depth}")
+            score = _score(scores, post, goal, kb)
+            heapq.heappush(heap, (-score, next(counter), post, actions + (instance,)))
+    raise NoPlanFoundError(goal, f"no plan within depth {max_depth}")
 
 
 def adversarial_story(
@@ -165,43 +167,37 @@ def adversarial_story(
     # matching covers both repertoires; planning and scoring only the hero's
     full_kb = replace(kb, events=(*kb.events, *antagonist_actions))
     antag_kb = replace(kb, events=antagonist_actions)
+    scores: dict[Situation, int] = {}
+    # the story's open moves come from separate queries; each takes
+    # names here, above every _G name the story starts from
+    names = FreshNames(fresh_floor((*kb.init, hero_goal)))
+
+    def renamed(move: Term) -> Term:
+        return move if ground(move) else names.rename((move,))[0][0]
+
     sitn = kb.init
     steps = []
     turn = 0
-    while True:
-        if next(iter_satisfying((hero_goal,), sitn, kb), None) is not None:
-            break
+    while _score(scores, sitn, hero_goal, kb) != 0:
         if turn >= cfg.max_depth:
             raise StalemateError(turn)
+        move = why = None
         if turn % 2 == 0:
-            plan = forward_search(sitn, hero_goal, kb, cfg)
-            step = plan.steps[0]
+            why = _forward(sitn, hero_goal, kb, cfg.max_depth, scores).steps[0]
+            why = replace(why, action=renamed(why.action))
+            move = why.action
+        elif candidates := _applicable_actions(sitn, antag_kb):
+            move, _ = min(
+                candidates,
+                key=lambda pair: (_score(scores, pair[1], hero_goal, kb), term_key(pair[0])),
+            )
+            move = renamed(move)
+        if move is not None:
             rec = apply_event(
-                step.action,
-                "action",
-                sitn,
-                full_kb,
-                index=len(steps),
-                justification=step,
-                steps=steps,
+                move, "action", sitn, full_kb, index=len(steps), justification=why, steps=steps
             )
             steps.append(rec)
             sitn = rec.post_situation
-        else:
-            candidates = _applicable_actions(sitn, antag_kb)
-            if candidates:
-                instance, _ = min(
-                    candidates,
-                    key=lambda pair: (
-                        plan_distance(pair[1], hero_goal, kb),
-                        term_key(pair[0]),
-                    ),
-                )
-                rec = apply_event(
-                    instance, "action", sitn, full_kb, index=len(steps), steps=steps
-                )
-                steps.append(rec)
-                sitn = rec.post_situation
         turn += 1
     return Trace(
         steps=tuple(steps),

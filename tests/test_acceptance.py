@@ -224,28 +224,41 @@ def test_needless_evacuation_exists_but_loses(kb, boarded):
 # --------------------------------------------------- 4. reproducibility
 
 
-def test_batches_are_bit_identical_across_processes():
-    args = [
-        sys.executable,
-        "-m",
-        "incidentgen",
-        "generate",
-        "--seed",
-        "42",
-        "--count",
-        "100",
-    ]
+@pytest.mark.parametrize(
+    "args, separators, digest",
+    [
+        pytest.param(
+            ("generate", "--seed", "42", "--count", "100"),
+            99,
+            "bc4ef68c75872ac6f4a1b5a687a00adfd5e622a062ee0c152fb7e434a940f8a9",
+            id="generate",
+        ),
+        pytest.param(
+            ("forward", "--adversary", str(data_path("saboteur.kb")), "--depth", "24"),
+            0,
+            "b2e197281b4612223175d76bd91b0158ecc8be5fdf7f0b68c4d44473521cd723",
+            id="duel",
+        ),
+        pytest.param(
+            ("plan", "--all"),
+            0,
+            "345663e4df3d8182dfb7f9263312be099acbbde75076b6bdb3882fcc9e179af1",
+            id="plan_all",
+        ),
+    ],
+)
+def test_batches_are_bit_identical_across_processes(args, separators, digest):
     outputs = []
     for hashseed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hashseed)
-        run = subprocess.run(args, capture_output=True, text=True, env=env)
+        run = subprocess.run(
+            [sys.executable, "-m", "incidentgen", *args], capture_output=True, text=True, env=env
+        )
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count(SEPARATOR + "\n") == 99
-    assert hashlib.sha256(outputs[0].encode()).hexdigest() == (
-        "bc4ef68c75872ac6f4a1b5a687a00adfd5e622a062ee0c152fb7e434a940f8a9"
-    )
+    assert outputs[0].count(SEPARATOR + "\n") == separators
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == digest
 
 
 def test_table_mode_opening_draws():

@@ -498,6 +498,24 @@ def test_forward_takes_an_action_whose_head_keeps_a_variable(run, tmp_path):
     assert run("forward", "--kb", str(kb)) == (0, "a(_G1)\nb(_G2)\n", "")
 
 
+def test_forward_adversary_gives_each_open_move_its_own_name(run, tmp_path):
+    # each move comes from a query of its own, whose names count from _G1
+    hero = tmp_path / "hero.kb"
+    hero.write_text(
+        'action a(X) {add: pa; text: "a {X}";}\n'
+        'action b(Y) {pre: pa; add: done; text: "b {Y}";}\n'
+        "init {s;}\n"
+        "goal done.\n"
+    )
+    noise = tmp_path / "noise.kb"
+    noise.write_text('action noise(Z) {add: loud; text: "noise {Z}";}\n')
+    assert run("forward", "--kb", str(hero), "--adversary", str(noise)) == (
+        0,
+        "a _G1\nnoise _G2\nb _G3\n",
+        "",
+    )
+
+
 def test_forward_depth_failure(run):
     code, _, err = run("forward", "--depth", "2")
     assert code == 1 and "within depth 2" in err

@@ -277,6 +277,11 @@ def test_term_diagnostics_are_pinned(text, expected):
             id="recovery",
         ),
         pytest.param(
+            'a b "." c d.\ns --> [x].\n',
+            ["g:1:3: error: expected '-->', got 'b'"],
+            id="recovery_past_a_dot_string",
+        ),
+        pytest.param(
             "s --> [x], ", ["g:1:12: error: expected a term, got end of input"], id="unterminated"
         ),
         pytest.param(

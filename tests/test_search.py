@@ -12,6 +12,7 @@ from incidentgen import (
     enumerate_plans,
     forward_search,
     load_kb,
+    parse_kb,
     parse_term,
     plan_distance,
 )
@@ -153,6 +154,21 @@ def test_adversarial_turn_budget(kb, saboteur):
         adversarial_story(two_away, kb.goal, saboteur.actions, SearchConfig(max_depth=2))
     story = adversarial_story(two_away, kb.goal, saboteur.actions, SearchConfig(max_depth=4))
     assert names(story.steps) == ["taxi_to_gate", "unload"]
+
+
+def test_open_moves_of_one_story_take_distinct_names():
+    hero = parse_kb(
+        'action a(X) {add: pa; text: "a {X}";}\n'
+        'action b(Y) {pre: pa; add: done; text: "b {Y}";}\n'
+        "init {s;}\n"
+        "goal done.\n"
+    )
+    noise = parse_kb('action noise(Z) {add: loud; text: "noise {Z}";}\n', require_init_goal=False)
+    story = adversarial_story(hero, hero.goal, noise.actions)
+    moves = [parse_term(t) for t in ("a(_G1)", "noise(_G2)", "b(_G3)")]
+    assert [s.event for s in story.steps] == moves
+    # a protagonist step's justification names the move it made
+    assert all(s.justification.action == s.event for s in story.steps if s.justification)
 
 
 def test_antagonist_actions_must_not_collide(kb):
