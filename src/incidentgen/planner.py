@@ -13,21 +13,31 @@ The simulator and the forward search ask every question of a knowledge
 base here: does a fact hold (``iter_satisfying``), which event instances
 apply and under which solution (``applicable``, ``first_application``),
 does a revision fire (``revise_goal``), and which plan reaches a goal.
-An event applies under the first solution of its preconditions whose
-deletes are all present, and a plan step under the solution the planner
-chose for it. Within the search, an action's additions and its delete
-patterns pair with distinct facts, one branch per pairing.
+An event applies under a solution of its preconditions whose ground
+deletes are all present, and whose deletes that keep a variable pair
+with distinct other facts, as in the search, one solution per pairing;
+a plan step applies under the solution the planner chose for it.
+Within the search, an action's additions and its delete patterns pair
+with distinct facts, one branch per pairing.
 
 Work that cannot succeed is skipped. The knowledge base lists, per goal
 signature, the clauses whose root may meet it (``KnowledgeBase.rooted``).
 A rule is renamed apart only if a deep screen finds that its head may
 unify with the goal, and an action only if one of its adds may, or if
 its adds may feed the body of such a rule. A goal or a delete pattern
-is tried only against the facts of its own signature. A caller's
-situation is sorted into term order, grouped by signature and scanned
-for its highest ``_G`` name once; each branch of the search derives its
-groups from its parent's, only those its step touches and only when
-first asked for, so no situation is hashed or compared.
+is tried only against the facts of its own signature and, in a group of
+four facts or more, only against those whose argument at the first
+position where the walked goal has a root (an atom's name, a compound's
+functor and arity) has the same root or is a variable: argument keys,
+which keep the facts' term order, so no answer or name changes. A
+caller's situation is sorted into term order, grouped by signature and
+scanned for its highest ``_G`` name once; each branch of the search
+derives its groups and keys from its parent's, only those its step
+touches and only when first asked for, so no situation is hashed or
+compared. The goal stack keeps a set of keys of the pursued goals that
+were ground when pushed: a ground subgoal is looked up there and
+unified only with the pursued goals that were not, so a long chain of
+ground subgoals costs no scan of the stack.
 
 Each query takes fresh names from its own scope, counted from above
 those in its inputs. They are visible output: a clause whose root
@@ -50,14 +60,17 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .kb import DerivationRule, EventDef, KnowledgeBase, Situation
 from .kb import fresh_event, fresh_revision, fresh_rule
 from .terms import (
+    Atom,
     Compound,
     FreshNames,
     IncidentgenError,
     Substitution,
     Term,
+    Variable,
     _may_unify,
     format_term,
     fresh_floor,
+    ground,
     signature,
     substitute,
     term_key,
@@ -192,17 +205,22 @@ class _Index:
     """A situation as the search reads it. Under each signature are the
     facts a goal of that signature may unify with, in term order; variable
     facts sort first and may match any goal, so they head every group.
-    Under None are all the facts. A search branch's index is derived from
-    its parent's, one signature at a time when first asked for: a group
-    the branch's step does not touch is its parent's own tuple, so the
-    search never hashes or compares a whole situation."""
+    Under None are all the facts. A long group is also keyed by argument:
+    under (signature, position), for each root asked for there, are the
+    facts of the group whose argument there has that root or is a
+    variable, a subsequence of the group. A search branch's index is
+    derived from its parent's, one signature at a time when first asked
+    for: a group or its keys that the branch's step does not touch are
+    its parent's own, so the search never hashes or compares a whole
+    situation."""
 
-    __slots__ = ("_groups", "_loose", "_parent", "_drop", "_add", "_touched")
+    __slots__ = ("_groups", "_keyed", "_loose", "_parent", "_drop", "_add", "_touched")
 
     def __init__(self, groups: dict, loose: tuple, parent=None, drop=(), add=(), touched=()) -> None:
         # ``drop`` and ``add`` are the step from ``parent``, and
         # ``touched`` the signatures of their facts, None among them
         self._groups = groups
+        self._keyed: dict = {}
         self._loose = loose
         self._parent = parent
         self._drop = drop
@@ -237,6 +255,45 @@ class _Index:
             self._groups[sig] = found
         return found
 
+    def matching(self, goal: Term, subst: Substitution) -> Sequence[Term]:
+        """The facts that may unify with ``goal``, walked through
+        ``subst``, in term order: those of its group whose argument at the
+        first position where the walked goal has a root has that root or
+        is a variable. A short group is not worth keying and comes whole."""
+        sig = signature(goal)
+        group = self.group(sig)
+        if len(group) < _KEYED_MIN or type(goal) is not Compound:
+            return group
+        walk = subst.walk
+        for pos, arg in enumerate(goal.args):
+            root = signature(walk(arg))
+            if root is not None:
+                keyed = self._keyed_at(sig, pos)
+                found = keyed.get(root)
+                if found is None:
+                    # a variable fact, or one whose argument at ``pos`` is
+                    # a variable, meets any root
+                    found = keyed[root] = tuple(
+                        fact
+                        for fact in group
+                        if type(fact) is not Compound or signature(fact.args[pos]) in (None, root)
+                    )
+                return found
+        return group
+
+    def _keyed_at(self, sig: tuple[str, int], pos: int) -> dict:
+        # the lists of the group of ``sig`` by the root of the argument at
+        # ``pos``, each made when first asked for; a branch whose step
+        # leaves the group alone shares its parent's
+        found = self._keyed.get((sig, pos))
+        if found is None:
+            if self._parent is not None and sig not in self._touched:
+                found = self._parent._keyed_at(sig, pos)
+            else:
+                found = {}
+            self._keyed[sig, pos] = found
+        return found
+
     def after(self, drop: Sequence[Term], add: Sequence[Term]) -> "_Index":
         """The index of this situation less ``drop`` (facts it holds) plus
         ``add``. Adding or dropping a variable fact changes every group,
@@ -246,6 +303,10 @@ class _Index:
             return _Index.of(_changed(self.group(None), None, drop, add))
         touched.add(None)
         return _Index({}, self._loose, self, drop, add, touched)
+
+
+# a group shorter than this is scanned whole rather than keyed by argument
+_KEYED_MIN = 4
 
 
 def _changed(
@@ -287,7 +348,7 @@ def _satisfied_iter(
     depth: int = _MAX_RULE_DEPTH,
 ) -> Iterator[Substitution]:
     seen = subst.walk(goal)
-    for fact in index.group(signature(seen)):
+    for fact in index.matching(seen, subst):
         extended = unify(goal, fact, subst)
         if extended is not None:
             yield extended
@@ -331,10 +392,23 @@ def iter_satisfying(
     yield from _satisfied_seq(facts, index, kb, subst, names)
 
 
-def _applies(event: EventDef, sitn: Situation, subst: Substitution) -> bool:
-    # an event applies under a solution of its preconditions only if
-    # every delete the solution names is present
-    return all(substitute(d, subst) in sitn for d in event.dels)
+def _applications(
+    event: EventDef, index: _Index, sitn: Situation, subst: Substitution
+) -> Iterator[Substitution]:
+    # the solutions an event applies under, from one solution of its
+    # preconditions. A delete left ground must be present; one that keeps
+    # a variable pairs with a distinct other fact, as in the planner, and
+    # each pairing extends the solution
+    dels = [substitute(d, subst) for d in event.dels]
+    fixed = tuple(d for d in dels if ground(d))
+    if not all(d in sitn for d in fixed):
+        return
+    if len(fixed) == len(dels):
+        yield subst
+        return
+    open_dels = [d for d in dels if d not in fixed]
+    for solution, _ in _match_deletes(open_dels, index, subst, fixed):
+        yield solution
 
 
 def applicable(
@@ -344,7 +418,9 @@ def applicable(
 
     Each event is renamed apart, in the order given, and its distinct
     instances follow in term order. Each comes with the renamed event and
-    the first solution of its preconditions under which it applies.
+    the first solution under which it applies: a solution of its
+    preconditions, extended by a pairing of each delete that keeps a
+    variable with a fact.
     """
     out: list[tuple[Term, EventDef, Substitution]] = []
     index, names = _scope(sitn)
@@ -352,8 +428,8 @@ def applicable(
         fresh = fresh_event(event, names)
         found: dict[Term, Substitution] = {}
         for solution in _satisfied_seq(fresh.pcs, index, kb, Substitution(), names):
-            if _applies(fresh, sitn, solution):
-                found.setdefault(substitute(fresh.head, solution), solution)
+            for applied in _applications(fresh, index, sitn, solution):
+                found.setdefault(substitute(fresh.head, applied), applied)
         out.extend((instance, fresh, found[instance]) for instance in sorted(found, key=term_key))
     return out
 
@@ -372,14 +448,15 @@ def first_application(
     """The solution ``event`` applies under, extending ``subst``: the
     first with the deletes and adds of ``planned``, a plan step's
     solution, else the first that applies; if no solution applies, the
-    first one, whose deletes then fail, or None."""
+    first one of the preconditions, whose deletes then fail, or None."""
     first = applies = None
-    for solution in iter_satisfying(event.pcs, sitn, kb, subst):
-        if _applies(event, sitn, solution):
-            if planned is None or _effects(event, solution) == _effects(*planned):
-                return solution
+    index, names = _scope(sitn, *event.pcs, *subst, *subst.values())
+    for solution in _satisfied_seq(event.pcs, index, kb, subst, names):
+        for applied in _applications(event, index, sitn, solution):
+            if planned is None or _effects(event, applied) == _effects(*planned):
+                return applied
             if applies is None:
-                applies = solution
+                applies = applied
         if first is None:
             first = solution
     return applies if applies is not None else first
@@ -432,12 +509,12 @@ def _match_deletes(
     patterns: Sequence[Term], index: _Index, subst: Substitution, paired: tuple[Term, ...] = ()
 ) -> Iterator[tuple[Substitution, tuple[Term, ...]]]:
     # the same over a situation: each pattern is tried only against the
-    # facts of its walked signature, in term order, skipping those already
+    # facts it may unify with, in term order, skipping those already
     # paired; every pairing comes with the facts it paired
     if not patterns:
         yield subst, paired
         return
-    for fact in index.group(signature(subst.walk(patterns[0]))):
+    for fact in index.matching(subst.walk(patterns[0]), subst):
         if fact not in paired:
             extended = unify(patterns[0], fact, subst)
             if extended is not None:
@@ -503,10 +580,36 @@ class _Rec(NamedTuple):
     parent_id: Optional[int]
 
 
+# the goals a subgoal was chosen for: all of them, the keys of those
+# that were ground when pushed, and those that were not
+_Stack = tuple[tuple[Term, ...], frozenset, tuple[Term, ...]]
+_NO_GOALS: _Stack = ((), frozenset(), ())
+
+
+def _ground_key(term: Term, subst: Substitution):
+    # the walked term as nested tuples of names, equal for equal ground
+    # terms, or None if it holds an unbound variable; no term is built
+    kind = type(term)
+    if kind is Variable:
+        term = subst.walk(term)
+        kind = type(term)
+        if kind is Variable:
+            return None
+    if kind is Atom:
+        return term.name
+    key = [term.functor]
+    for arg in term.args:
+        found = _ground_key(arg, subst)
+        if found is None:
+            return None
+        key.append(found)
+    return tuple(key)
+
+
 def _plan(
     goal: Term,
     index: _Index,
-    stack: tuple[Term, ...],
+    stack: _Stack,
     subst: Substitution,
     used: int,
     kb: KnowledgeBase,
@@ -523,11 +626,20 @@ def _plan(
         yield (), index, extended
     if satisfied_any or used >= search.bound:
         return
-    # a goal already being pursued further up is a dead end
-    for pursued in stack:
-        if unify(goal, pursued, subst) is not None:
+    # a goal already being pursued further up is a dead end. A ground goal
+    # meets a ground pursued goal only if their keys are equal, so it is
+    # unified only with the pursued goals that were open when pushed
+    pursued, keys, open_goals = stack
+    key = _ground_key(goal, subst)
+    if key is not None and key in keys:
+        return
+    for other in pursued if key is None else open_goals:
+        if unify(goal, other, subst) is not None:
             return
-    new_stack = (goal, *stack)
+    if key is None:
+        new_stack = ((goal, *pursued), keys, (goal, *open_goals))
+    else:
+        new_stack = ((goal, *pursued), keys | {key}, open_goals)
     seen = subst.walk(goal)
     # renaming an action's variables is the hot path; skip any action
     # that can reach the goal neither by an add nor by feeding the body
@@ -560,7 +672,7 @@ def _plan(
 def _plan_seq(
     goals: Sequence[Term],
     index: _Index,
-    stack: tuple[Term, ...],
+    stack: _Stack,
     subst: Substitution,
     used: int,
     kb: KnowledgeBase,
@@ -603,7 +715,7 @@ def _plans(
     index, names = _scope(sitn, goal)
     search = _Search(cfg.max_plan_length, names)
     plans: dict[tuple, Plan] = {}
-    for recs, _, subst in _plan(goal, index, (), Substitution(), 0, kb, search, None):
+    for recs, _, subst in _plan(goal, index, _NO_GOALS, Substitution(), 0, kb, search, None):
         plan = _finalize(recs, subst)
         plans.setdefault(plan_sort_key(plan), plan)
         if shrink:
@@ -644,3 +756,28 @@ def make_best_plan(
         raise NoPlanFoundError(goal)
     best = max(plans, key=lambda p: (plan_quality(p, cfg.scorer), plan_sort_key(p)))
     return ScoredPlan(plan=best, quality=plan_quality(best, cfg.scorer))
+
+
+# the distance of a situation no plan within the bound reaches the goal
+# from; any reachable situation must rank above it
+_UNREACHABLE = -(10**6)
+
+
+def plan_distance(sitn: Situation, goal: Term, kb: KnowledgeBase) -> int:
+    """Negated length of the shortest plan from sitn to goal.
+
+    0 when the goal already holds, a large negative sentinel when no
+    plan exists within the planner's default length bound. Only the
+    length is sought: a tie cannot change it, so each plan found lowers
+    the bound below its own length, and no plan is finished or scored.
+    """
+    index, names = _scope(sitn, goal)
+    search = _Search(PlannerConfig().max_plan_length, names)
+    shortest = None
+    for recs, _, _ in _plan(goal, index, _NO_GOALS, Substitution(), 0, kb, search, None):
+        if shortest is None or len(recs) < shortest:
+            shortest = len(recs)
+            if not shortest:
+                break
+            search.bound = shortest - 1
+    return _UNREACHABLE if shortest is None else -shortest

@@ -3,10 +3,10 @@
 Where the backward planner reasons from the goal, these helpers reason
 from the situation: apply every applicable action, score the results,
 and chase the most promising one (best-first). Scoring delegates back
-to the planner, rating a situation by the length of its best remaining
-plan, which the planner's bounded search finds without enumerating
-longer ones; 0 means the goal holds. A story scores each situation
-once, in one table keyed by situation.
+to the planner: its ``plan_distance`` rates a situation by the length
+of the shortest remaining plan, which its bounded search finds without
+building any plan; 0 means the goal holds. A story scores each
+situation once, in one table keyed by situation.
 
 The adversarial loop plays a protagonist against an antagonist with a
 private action repertoire. Turns alternate strictly, protagonist
@@ -31,14 +31,10 @@ from .planner import (
     PlanStep,
     applicable,
     apply_effects,
-    make_best_plan,
+    plan_distance,
 )
 from .simulator import GoalEntry, Trace, apply_event
 from .terms import FreshNames, IncidentgenError, Term, fresh_floor, ground, substitute, term_key
-
-# score for situations the goal is unreachable from; any reachable
-# situation must rank above it
-_UNREACHABLE = -(10**6)
 
 
 class StalemateError(IncidentgenError):
@@ -47,18 +43,6 @@ class StalemateError(IncidentgenError):
     def __init__(self, turns: int):
         self.turns = turns
         super().__init__(f"stalemate: goal not reached after {turns} turns")
-
-
-def plan_distance(sitn: Situation, goal: Term, kb: KnowledgeBase) -> int:
-    """Negated length of the shortest plan from sitn to goal.
-
-    0 when the goal already holds, a large negative sentinel when no
-    plan exists within the planner's default length bound.
-    """
-    try:
-        return -len(make_best_plan(goal, sitn, kb).plan)
-    except NoPlanFoundError:
-        return _UNREACHABLE
 
 
 @dataclass(frozen=True)

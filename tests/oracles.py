@@ -278,18 +278,24 @@ def backward_plan_set(
 def _ground_moves(
     sitn: Situation, kb: KnowledgeBase
 ) -> list[tuple[Term, Situation]]:
-    # the moves whose effects are ground; a head may keep a variable
+    # the moves whose effects are ground; a head may keep a variable. A
+    # delete ground under a solution must be present; each that keeps a
+    # variable unifies with a distinct other fact, one move per pairing
     moves = []
     names = FreshNames(fresh_floor(sitn))
     for event in kb.actions:
         fresh = fresh_event(event, names)
         for s in _holds_all(fresh.pcs, sitn, kb.rules, Substitution(), names):
-            instance = substitute(fresh.head, s)
             dels = [substitute(d, s) for d in fresh.dels]
-            if any(d not in sitn for d in dels):
+            fixed = [d for d in dels if ground(d)]
+            if any(d not in sitn for d in fixed):
                 continue
-            adds = [substitute(a, s) for a in fresh.adds]
-            moves.append((instance, dels, adds))
+            open_dels = [d for d in dels if not ground(d)]
+            for _, s2 in _erase(open_dels, sitn - frozenset(fixed), s):
+                instance = substitute(fresh.head, s2)
+                dels2 = [substitute(d, s2) for d in fresh.dels]
+                adds = [substitute(a, s2) for a in fresh.adds]
+                moves.append((instance, dels2, adds))
     # an instance applies under its first qualifying solution, and is a
     # move only if that solution grounds every effect
     unique = {}

@@ -328,6 +328,58 @@ def test_an_injected_happening_applies_under_a_solution_whose_deletes_are_presen
     assert (code, out, err) == (0, "k two\na one\n", "")
 
 
+# ten link facts, so the planner keys them by argument; warp adds two
+# that keep a variable, one of them inside f(...), and wild may add a
+# bare variable fact, which meets every goal
+LINKS_KB = (
+    'action go(X, Y) {pre: link(X, Y), at(X); del: at(X); add: at(Y); text: "go {X} {Y}";}\n'
+    'action warp(W) {pre: at(b); add: link(W, h), link(f(W), h); text: "warp {W}";}\n'
+    'action wild(V) {pre: at(c); add: V, at(d); text: "wild";}\n'
+    "init {\n"
+    "  at(a);\n"
+    "  link(a, b); link(a, c); link(b, d); link(c, d); link(d, e);\n"
+    "  link(c, f(a)); link(f(a), g); link(e, g); link(h, g); link(d, f(b));\n"
+    "}\n"
+    "goal at(g).\n"
+)
+
+
+def test_plan_all_over_an_argument_keyed_group(run, tmp_path):
+    # the order of the plans and every _G name hang on the order in
+    # which each goal meets the facts of its group
+    kb = tmp_path / "links.kb"
+    kb.write_text(LINKS_KB)
+    code, out, err = run("plan", "--kb", str(kb), "--all", "--max-length", "6")
+    assert (code, err) == (0, "")
+    plans = []
+    for block in out.strip().split("\n\n"):
+        *actions, quality = block.splitlines()
+        plans.append(", ".join(actions) + " | " + quality.removeprefix("quality: "))
+    assert plans == [
+        "go(a, b), go(b, d), go(d, e), go(e, g) | 60",
+        "go(a, c), wild(at(b)), go(b, d), go(d, e), go(e, g) | 50",
+        "go(a, c), go(c, d), go(d, e), go(e, g) | 60",
+        "go(a, c), wild(at(d)), go(d, e), go(e, g) | 60",
+        "go(a, c), wild(at(e)), go(d, e), go(e, g) | 60",
+        "go(a, c), wild(_G16), go(d, e), go(e, g) | 60",
+        "go(a, c), wild(at(e)), go(e, g) | 70",
+        "go(a, b), warp(b), go(b, h), go(h, g) | 60",
+        "go(a, c), wild(at(b)), warp(b), go(b, h), go(h, g) | 50",
+        "go(a, c), wild(at(b)), warp(c), go(c, h), go(h, g) | 50",
+        "go(a, c), wild(at(b)), warp(d), go(d, h), go(h, g) | 50",
+        "go(a, b), warp(b), go(b, d), go(d, f(b)), go(f(b), h), go(h, g) | 40",
+        "go(a, c), wild(at(b)), warp(a), go(c, f(a)), go(f(a), h), go(h, g) | 40",
+        "go(a, c), wild(at(b)), warp(b), go(d, f(b)), go(f(b), h), go(h, g) | 40",
+        "go(a, c), wild(at(b)), warp(_G29), wild(at(f(_G29))), go(f(_G29), h), go(h, g) | 40",
+        "go(a, c), wild(link(c, h)), go(c, h), go(h, g) | 60",
+        "go(a, c), wild(link(d, h)), go(d, h), go(h, g) | 60",
+        "go(a, c), wild(at(h)), go(h, g) | 70",
+        "go(a, c), go(c, f(a)), go(f(a), g) | 70",
+        "go(a, c), wild(at(f(a))), go(f(a), g) | 70",
+        "go(a, c), wild(at(g)) | 80",
+    ]
+
+
 def test_plan_length_budget_failure(run):
     code, out, err = run("plan", "--max-length", "7")
     assert code == 1 and out == ""
@@ -496,6 +548,16 @@ def test_forward_takes_an_action_whose_head_keeps_a_variable(run, tmp_path):
     )
     assert run("plan", "--kb", str(kb)) == (0, "a(_G4)\nc(_G3)\nquality: 80\n", "")
     assert run("forward", "--kb", str(kb)) == (0, "a(_G1)\nb(_G2)\n", "")
+
+
+def test_a_delete_that_keeps_a_variable_pairs_with_a_fact_in_every_command(run, tmp_path):
+    # drop's delete p(X) is open after its (empty) preconditions; it
+    # pairs with p(a), as the planner pairs it, and that binds X
+    kb = tmp_path / "drop.kb"
+    kb.write_text('action drop(X) {del: p(X); add: q; text: "drop {X}";}\ninit {p(a);}\ngoal q.\n')
+    assert run("plan", "--kb", str(kb)) == (0, "drop(a)\nquality: 90\n", "")
+    assert run("generate", "--prob", "0", "--kb", str(kb)) == (0, "drop a\n", "")
+    assert run("forward", "--kb", str(kb)) == (0, "drop(a)\n", "")
 
 
 def test_forward_adversary_gives_each_open_move_its_own_name(run, tmp_path):

@@ -9,6 +9,7 @@ import oracles
 from oracles import backward_plan_set, replay
 
 from incidentgen import (
+    Compound,
     FreshNames,
     KnowledgeBase,
     MissingDeleteFactError,
@@ -103,13 +104,20 @@ def test_iter_satisfying_threads_bindings_across_facts(kb):
     )
 
 
-@pytest.mark.parametrize("loose", [(), ("W",)], ids=["ground", "variable_fact"])
-@pytest.mark.parametrize("goal", ["X", "a", "p(X)", "p(X, Y)", "q(X, a)", "s(X)"])
+@pytest.mark.parametrize(
+    "loose",
+    [(), ("W",), ("p(V, a)", "p(f(U), b)")],
+    ids=["ground", "variable_fact", "open_arguments"],
+)
+@pytest.mark.parametrize(
+    "goal", ["X", "a", "p(X)", "p(X, Y)", "q(X, a)", "s(X)", "p(c, Y)", "p(X, a)", "p(f(Z), Y)"]
+)
 def test_facts_are_tried_in_term_order(goal, loose):
-    # atoms, one functor at two arities, and one arity under two functors
+    # atoms, one functor at two arities, and one arity under two functors;
+    # p/2 is long enough to be keyed by argument
     sitn = facts(
-        "b", "a", "p(b)", "p(a)", "p(c, a)", "p(a, b)", "q(b)", "q(a, a)", "r(c, a)",
-        "pair(a, b, c)", *loose,
+        "b", "a", "p(b)", "p(a)", "p(c, a)", "p(a, b)", "p(b, a)", "p(c, c)", "q(b)",
+        "q(a, a)", "r(c, a)", "pair(a, b, c)", *loose,
     )
     goal = parse_term(goal)
     expected = [
@@ -260,6 +268,50 @@ goal token(next(next(zero))).
 """
     )
     assert enumerate_plans(looping.goal, looping.init, looping) == []
+
+
+def _plans_match_the_reference(kb, goal, expected, bound=20):
+    got = enumerate_plans(goal, kb.init, kb, PlannerConfig(max_plan_length=bound))
+    assert action_lists(got) == expected
+    assert set(expected) == backward_plan_set(goal, kb.init, kb, bound)
+
+
+def test_an_open_subgoal_meets_a_ground_pursued_goal():
+    # make's precondition q(X) unifies with the pursued q(a), so it is a
+    # dead end, though base could achieve it as q(b)
+    kb = parse_kb(
+        "action make(X) {pre: q(X); add: q(a);}\n"
+        "action base {pre: s; add: q(b);}\n"
+        "init {s;} goal q(a)."
+    )
+    _plans_match_the_reference(kb, kb.goal, [])
+
+
+def test_a_pursued_goal_that_is_grounded_after_it_was_pushed():
+    # the pursued q(Y) becomes q(a) once pick(Z) binds Z, so the later
+    # subgoal q(a) of need(a) meets it on the stack
+    kb = parse_kb(
+        "action achieve(Z) {pre: pick(Z), need(Z); add: q(Z);}\n"
+        "action needs(W) {pre: q(W); add: need(W);}\n"
+        "action base {add: q(a);}\n"
+        "init {pick(a);} goal q(a)."
+    )
+    _plans_match_the_reference(kb, parse_term("q(Y)"), [(parse_term("base"),)])
+
+
+def test_a_forty_leg_chain_plans_like_the_reference():
+    # every pursued at(c<n>) is ground, so each is screened by its key
+    legs = 40
+    kb = parse_kb(
+        'action fly(X, Y) {pre: path(X, Y), at(X); del: at(X); add: at(Y); text: "fly";}\n'
+        "init {at(c0); "
+        + " ".join(f"path(c{n}, c{n + 1});" for n in range(legs))
+        + f"}} goal at(c{legs})."
+    )
+    route = tuple(parse_term(f"fly(c{n}, c{n + 1})") for n in range(legs))
+    _plans_match_the_reference(kb, kb.goal, [route], bound=legs)
+    best = make_best_plan(kb.goal, kb.init, kb, PlannerConfig(max_plan_length=legs))
+    assert best.plan.actions == route
 
 
 def test_each_way_of_matching_a_delete_is_its_own_plan():
@@ -415,7 +467,7 @@ def ill_passenger_story(kb):
     [
         (
             lambda kb: make_best_plan(kb.goal, kb.init, kb),
-            {"planner.fresh_event": 32, "planner.fresh_rule": 3, "planner.unify": 193},
+            {"planner.fresh_event": 32, "planner.fresh_rule": 3, "planner.unify": 110},
         ),
         (
             ill_passenger_story,
@@ -423,7 +475,7 @@ def ill_passenger_story(kb):
                 "planner.fresh_event": 49,
                 "planner.fresh_rule": 18,
                 "planner.fresh_revision": 2,
-                "planner.unify": 305,
+                "planner.unify": 222,
                 "simulator.unify": 2,
             },
         ),
@@ -573,6 +625,73 @@ def test_a_derived_situation_index_equals_one_built_from_scratch(kb, data):
             assert index.group(sig) == fresh.group(sig)
     for sig in sigs:
         assert index.group(sig) == fresh.group(sig)
+
+
+_ATOMS = st.sampled_from([parse_term(t) for t in ("a", "b", "c")])
+_VARS = st.sampled_from([Variable(n) for n in ("X", "Y", "U", "V")])
+_ARGS = st.one_of(
+    _ATOMS,
+    _VARS,
+    st.builds(lambda t: Compound("f", (t,)), st.one_of(_ATOMS, _VARS)),
+    st.builds(lambda t, u: Compound("g", (t, u)), _ATOMS, _ATOMS),
+)
+_P = st.builds(lambda t, u: Compound("p", (t, u)), _ARGS, _ARGS)
+# p facts, with arguments that are atoms, variables or compounds, mixed
+# with facts of another signature and a variable fact
+_FACTS = st.one_of(_P, _P, st.builds(lambda t: Compound("q", (t,)), _ARGS), st.just(Variable("W")))
+
+
+@st.composite
+def _substitutions(draw):
+    # bindings made by unification, so they hold no cycle
+    subst = Substitution()
+    for var, value in draw(st.lists(st.tuples(_VARS, _ARGS), max_size=4)):
+        subst = unify(var, value, subst) or subst
+    return subst
+
+
+def _check_matching(index, goal, subst):
+    # the candidates are the facts of the goal's group that pass the root
+    # check at the first argument where the walked goal has a root, and
+    # they include every fact the goal unifies with
+    seen = subst.walk(goal)
+    group = index.group(signature(seen))
+    roots = [signature(subst.walk(arg)) for arg in seen.args]
+    keyed = [(pos, root) for pos, root in enumerate(roots) if root is not None]
+    expected = list(group)
+    if keyed and len(group) >= planner._KEYED_MIN:
+        pos, root = keyed[0]
+        expected = [
+            fact
+            for fact in group
+            if type(fact) is Variable or signature(fact.args[pos]) in (None, root)
+        ]
+    got = list(index.matching(seen, subst))
+    assert got == expected
+    assert all(fact in got for fact in group if unify(goal, fact, subst) is not None)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(_FACTS, max_size=12),
+    st.lists(st.tuples(_P, _substitutions()), min_size=1, max_size=4),
+    st.data(),
+)
+def test_argument_keys_pick_every_fact_that_may_unify(held, queries, data):
+    held = frozenset(held)
+    index = planner._Index.of(held)
+    for goal, subst in queries:
+        _check_matching(index, goal, subst)
+    # a branch's index takes the parent's keyed lists for every signature
+    # its step leaves alone and keys the others anew
+    ordered = sorted(held, key=term_key)
+    drop = data.draw(st.lists(st.sampled_from(ordered), unique=True)) if held else []
+    add = data.draw(st.lists(_FACTS, max_size=3), label="add")
+    derived = index.after(drop, add)
+    asked = data.draw(st.lists(st.tuples(_P, _substitutions()), min_size=1), label="asked")
+    for goal, subst in asked:
+        _check_matching(derived, goal, subst)
+        _check_matching(planner._Index.of(held.difference(drop) | frozenset(add)), goal, subst)
 
 
 @settings(max_examples=200)
