@@ -26,7 +26,7 @@ A rule is renamed apart only if a deep screen finds that its head may
 unify with the goal, and an action only if one of its adds may, or if
 its adds may feed the body of such a rule. A goal or a delete pattern
 is tried only against the facts of its own signature and, in a group of
-four facts or more, only against those whose argument at the first
+three facts or more, only against those whose argument at the first
 position where the walked goal has a root (an atom's name, a compound's
 functor and arity) has the same root or is a variable: argument keys,
 which keep the facts' term order, so no answer or name changes. A
@@ -305,8 +305,12 @@ class _Index:
         return _Index({}, self._loose, self, drop, add, touched)
 
 
-# a group shorter than this is scanned whole rather than keyed by argument
-_KEYED_MIN = 4
+# a group shorter than this is scanned whole rather than keyed by
+# argument. On a freshly derived index, a keyed lookup costs about as
+# much as unifying with two facts, so keys pay from three; nearly every
+# lookup in the benchmark's workloads meets a group of two facts or
+# fewer, and keying those too made them 5-7% slower (BENCH_12.json)
+_KEYED_MIN = 3
 
 
 def _changed(
