@@ -32,12 +32,12 @@ functor and arity) has the same root or is a variable: argument keys,
 which keep the facts' term order, so no answer or name changes. A
 caller's situation is sorted into term order, grouped by signature and
 scanned for its highest ``_G`` name once; each branch of the search
-derives its groups and keys from its parent's, only those its step
-touches and only when first asked for, so no situation is hashed or
-compared. The goal stack keeps a set of keys of the pursued goals that
-were ground when pushed: a ground subgoal is looked up there and
-unified only with the pursued goals that were not, so a long chain of
-ground subgoals costs no scan of the stack.
+copies its parent's table of groups and rebuilds only those its step
+touches, each with fresh keys, so no situation is hashed or compared.
+The goal stack keeps a set of keys of the pursued goals that were
+ground when pushed: a ground subgoal is looked up there and unified
+only with the pursued goals that were not, so a long chain of ground
+subgoals costs no scan of the stack.
 
 Each query takes fresh names from its own scope, counted from above
 those in its inputs. They are visible output: a clause whose root
@@ -114,6 +114,8 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.max_plan_length < 1:
             raise ValueError("max_plan_length must be at least 1")
+        if self.scorer not in SCORERS:
+            raise UnknownScorerError(self.scorer)
 
 
 @dataclass(frozen=True)
@@ -203,57 +205,46 @@ def _renamed_rules(
 
 class _Index:
     """A situation as the search reads it. Under each signature are the
-    facts a goal of that signature may unify with, in term order; variable
-    facts sort first and may match any goal, so they head every group.
-    Under None are all the facts. A long group is also keyed by argument:
-    under (signature, position), for each root asked for there, are the
+    facts a goal of that signature may unify with, in term order, and
+    that group's argument keys; variable facts sort first and may match
+    any goal, so they head every group. A long group is keyed by
+    argument: under (position, root), for each one asked for, are the
     facts of the group whose argument there has that root or is a
-    variable, a subsequence of the group. A search branch's index is
-    derived from its parent's, one signature at a time when first asked
-    for: a group or its keys that the branch's step does not touch are
-    its parent's own, so the search never hashes or compares a whole
+    variable, a subsequence of the group. A search branch's index is a
+    copy of its parent's table in which only the groups its step touches
+    are rebuilt, each with fresh keys; every other group, with its keys,
+    is the parent's own, so the search never hashes or compares a whole
     situation."""
 
-    __slots__ = ("_groups", "_keyed", "_loose", "_parent", "_drop", "_add", "_touched")
+    __slots__ = ("_groups", "_loose")
 
-    def __init__(self, groups: dict, loose: tuple, parent=None, drop=(), add=(), touched=()) -> None:
-        # ``drop`` and ``add`` are the step from ``parent``, and
-        # ``touched`` the signatures of their facts, None among them
+    def __init__(self, groups: dict, loose: tuple) -> None:
+        # ``groups`` maps a signature to (its facts, its argument keys);
+        # ``loose`` are the variable facts, the group of any other signature
         self._groups = groups
-        self._keyed: dict = {}
         self._loose = loose
-        self._parent = parent
-        self._drop = drop
-        self._add = add
-        self._touched = touched
 
     @classmethod
     def of(cls, facts: Iterable[Term]) -> "_Index":
         """A situation's index built from scratch."""
-        ordered = tuple(sorted(facts, key=term_key))
         groups: dict = {}
         loose: list[Term] = []
-        for fact in ordered:
+        for fact in sorted(facts, key=term_key):
             sig = signature(fact)
             if sig is None:
                 loose.append(fact)
             else:
                 groups.setdefault(sig, list(loose)).append(fact)
-        groups = {sig: tuple(group) for sig, group in groups.items()}
-        groups[None] = ordered
-        return cls(groups, tuple(loose))
+        return cls({sig: (tuple(group), {}) for sig, group in groups.items()}, tuple(loose))
 
     def group(self, sig: Optional[tuple[str, int]]) -> Sequence[Term]:
-        """The facts that may unify with a goal of signature ``sig``."""
+        """The facts that may unify with a goal of signature ``sig``; a
+        variable goal (``sig`` None) may unify with every fact."""
+        if sig is None:
+            facts = {*self._loose, *(fact for group, _ in self._groups.values() for fact in group)}
+            return tuple(sorted(facts, key=term_key))
         found = self._groups.get(sig)
-        if found is None:
-            if self._parent is None:
-                return self._loose
-            found = self._parent.group(sig)
-            if sig in self._touched:
-                found = _changed(found, sig, self._drop, self._add)
-            self._groups[sig] = found
-        return found
+        return self._loose if found is None else found[0]
 
     def matching(self, goal: Term, subst: Substitution) -> Sequence[Term]:
         """The facts that may unify with ``goal``, walked through
@@ -261,19 +252,21 @@ class _Index:
         first position where the walked goal has a root has that root or
         is a variable. A short group is not worth keying and comes whole."""
         sig = signature(goal)
-        group = self.group(sig)
+        found = self._groups.get(sig)
+        if found is None:
+            return self.group(sig)
+        group, keys = found
         if len(group) < _KEYED_MIN or type(goal) is not Compound:
             return group
         walk = subst.walk
         for pos, arg in enumerate(goal.args):
             root = signature(walk(arg))
             if root is not None:
-                keyed = self._keyed_at(sig, pos)
-                found = keyed.get(root)
+                found = keys.get((pos, root))
                 if found is None:
                     # a variable fact, or one whose argument at ``pos`` is
                     # a variable, meets any root
-                    found = keyed[root] = tuple(
+                    found = keys[pos, root] = tuple(
                         fact
                         for fact in group
                         if type(fact) is not Compound or signature(fact.args[pos]) in (None, root)
@@ -281,28 +274,17 @@ class _Index:
                 return found
         return group
 
-    def _keyed_at(self, sig: tuple[str, int], pos: int) -> dict:
-        # the lists of the group of ``sig`` by the root of the argument at
-        # ``pos``, each made when first asked for; a branch whose step
-        # leaves the group alone shares its parent's
-        found = self._keyed.get((sig, pos))
-        if found is None:
-            if self._parent is not None and sig not in self._touched:
-                found = self._parent._keyed_at(sig, pos)
-            else:
-                found = {}
-            self._keyed[sig, pos] = found
-        return found
-
     def after(self, drop: Sequence[Term], add: Sequence[Term]) -> "_Index":
         """The index of this situation less ``drop`` (facts it holds) plus
         ``add``. Adding or dropping a variable fact changes every group,
         so that rare step indexes its situation anew."""
         touched = {*map(signature, drop), *map(signature, add)}
         if None in touched:
-            return _Index.of(_changed(self.group(None), None, drop, add))
-        touched.add(None)
-        return _Index({}, self._loose, self, drop, add, touched)
+            return _Index.of(set(self.group(None)).difference(drop).union(add))
+        groups = self._groups.copy()
+        for sig in touched:
+            groups[sig] = (_changed(self.group(sig), sig, drop, add), {})
+        return _Index(groups, self._loose)
 
 
 # a group shorter than this is scanned whole rather than keyed by
@@ -314,14 +296,14 @@ _KEYED_MIN = 3
 
 
 def _changed(
-    group: Sequence[Term], sig: Optional[tuple[str, int]], drop: Sequence[Term], add: Sequence[Term]
+    group: Sequence[Term], sig: tuple[str, int], drop: Sequence[Term], add: Sequence[Term]
 ) -> tuple[Term, ...]:
     # a group in term order less the facts it holds in ``drop``, plus
-    # those of signature ``sig`` (any, if None) in ``add`` that it does
-    # not already hold, each at its place
+    # those of signature ``sig`` in ``add`` that it does not already
+    # hold, each at its place
     out = [fact for fact in group if fact not in drop]
     for fact in add:
-        if sig is None or signature(fact) == sig:
+        if signature(fact) == sig:
             i = bisect_left(out, term_key(fact), key=term_key) if out else 0
             if i == len(out) or out[i] != fact:
                 out.insert(i, fact)
@@ -407,9 +389,6 @@ def _applications(
     fixed = tuple(d for d in dels if ground(d))
     if not all(d in sitn for d in fixed):
         return
-    if len(fixed) == len(dels):
-        yield subst
-        return
     open_dels = [d for d in dels if d not in fixed]
     for solution, _ in _match_deletes(open_dels, index, subst, fixed):
         yield solution
@@ -478,11 +457,6 @@ def revise_goal(
     """
     index, names = _scope(sitn, goal)
     for rule in kb.revisions:
-        # a pattern that cannot match the goal is not renamed, but its
-        # block of fresh names is still taken, so later names hold
-        if not _may_unify(goal, rule.old, Substitution()):
-            names.reserve(rule.fresh_width)
-            continue
         fresh = fresh_revision(rule, names)
         bound = unify(fresh.old, goal)
         if bound is None:

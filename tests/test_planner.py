@@ -211,6 +211,15 @@ def test_unknown_scorer_is_rejected(kb):
         make_best_plan(kb.goal, kb.init, kb, PlannerConfig(scorer="fancy"))
 
 
+@pytest.mark.parametrize("goal", ["plocation(passengers1, gate(nowhere))", "plocation(passengers1, gate(dallas))"])
+def test_an_unknown_scorer_is_rejected_before_any_search(kb, goal, monkeypatch):
+    # an unreachable goal must not end as "no plan found" (exit 1), and a
+    # reachable one must not run the exhaustive enumeration first
+    monkeypatch.setattr(planner, "_plans", lambda *args, **kwargs: pytest.fail("searched"))
+    with pytest.raises(UnknownScorerError):
+        make_best_plan(parse_term(goal), kb.init, kb, PlannerConfig(scorer="fancy"))
+
+
 # -------------------------------------------------------------- enumeration
 
 
@@ -603,9 +612,10 @@ def test_plans_and_their_fresh_names_match_the_reference(kb):
 
 @given(nonground_kbs(), st.data())
 def test_a_derived_situation_index_equals_one_built_from_scratch(kb, data):
-    # a search branch derives its index from its parent's, lazily, one
-    # signature at a time; whatever groups are asked for and in whatever
-    # order, each must be the group a fresh index of the same facts has
+    # a search branch copies its parent's groups and rebuilds those its
+    # step touches; after any steps, whatever groups are asked for and in
+    # whatever order, each must be the group a fresh index of the same
+    # facts has
     pool = [
         *kb.init,
         *(t for e in kb.events for t in (*e.dels, *e.adds)),
@@ -625,6 +635,24 @@ def test_a_derived_situation_index_equals_one_built_from_scratch(kb, data):
             assert index.group(sig) == fresh.group(sig)
     for sig in sigs:
         assert index.group(sig) == fresh.group(sig)
+    # a variable goal meets every fact, sorted on demand from the groups
+    assert type(index.group(None)) is tuple
+    assert index.group(None) == tuple(sorted(held, key=term_key))
+
+
+def test_a_derived_index_shares_the_keys_of_the_groups_its_step_leaves_alone():
+    held = [parse_term(f"path({a}, {b})") for a in "abc" for b in "abc" if a != b]
+    index = planner._Index.of([*held, parse_term("at(a)")])
+    to_b = parse_term("path(X, b)")
+    keyed = index.matching(to_b, Substitution())
+    assert keyed == (parse_term("path(a, b)"), parse_term("path(c, b)"))
+    moved = index.after([parse_term("at(a)")], [parse_term("at(b)")])
+    assert moved.matching(to_b, Substitution()) is keyed
+    assert moved.group(("at", 1)) == (parse_term("at(b)"),)
+    # a step that touches the group rebuilds its keys, and the parent's stand
+    cut = index.after([parse_term("path(a, b)")], [])
+    assert cut.matching(to_b, Substitution()) == (parse_term("path(c, b)"),)
+    assert index.matching(to_b, Substitution()) is keyed
 
 
 _ATOMS = st.sampled_from([parse_term(t) for t in ("a", "b", "c")])
