@@ -205,6 +205,10 @@ class KnowledgeBase:
     def _rooted(self) -> dict[Optional[tuple[str, int]], Rooted]:
         return {}
 
+    @cached_property
+    def _screens(self) -> dict:  # the planner's verdicts per ground goal
+        return {}
+
     def rooted(self, sig: Optional[tuple[str, int]]) -> Rooted:
         """The clauses that may meet a goal of signature ``sig`` (None for
         a variable goal), worked out on first use and kept."""

@@ -24,7 +24,9 @@ Work that cannot succeed is skipped. The knowledge base lists, per goal
 signature, the clauses whose root may meet it (``KnowledgeBase.rooted``).
 A rule is renamed apart only if a deep screen finds that its head may
 unify with the goal, and an action only if one of its adds may, or if
-its adds may feed the body of such a rule. A goal or a delete pattern
+its adds may feed the body of such a rule. These verdicts depend only on
+the knowledge base and the walked goal, so the knowledge base keeps a
+ground goal's, for a bounded number of goals. A goal or a delete pattern
 is tried only against the facts of its own signature and, in a group of
 three facts or more, only against those whose argument at the first
 position where the walked goal has a root (an atom's name, a compound's
@@ -190,14 +192,16 @@ def plan_sort_key(plan: Plan) -> tuple:
 
 
 def _renamed_rules(
-    seen: Term, kb: KnowledgeBase, subst: Substitution, names: FreshNames
+    seen: Term, kb: KnowledgeBase, subst: Substitution, names: FreshNames, live=None
 ) -> Iterator[tuple[DerivationRule, DerivationRule]]:
-    # each rule whose head may unify with the walked goal, renamed apart.
-    # One whose root matches but whose head cannot unify only takes its
-    # block of names, so the names, which are visible output, do not
-    # depend on how deep the screen looks
-    for rule in kb.rooted(signature(seen)).rules:
-        if _may_unify(seen, rule.head, subst):
+    # each rule whose head may unify with the walked goal (those ``live``
+    # marks, if the caller screened them), renamed apart. One whose root
+    # matches but whose head cannot unify only takes its block of names,
+    # so the names, which are visible output, do not depend on how deep
+    # the screen looks
+    rules = kb.rooted(signature(seen)).rules
+    for rule, meets in zip(rules, live or [_may_unify(seen, r.head, subst) for r in rules]):
+        if meets:
             yield rule, fresh_rule(rule, names)
         else:
             names.reserve(rule.fresh_width)
@@ -508,14 +512,16 @@ def _achieves_iter(
     kb: KnowledgeBase,
     subst: Substitution,
     names: FreshNames,
+    live=None,
 ) -> Iterator[tuple[Substitution, Optional[DerivationRule]]]:
     # either the goal unifies with an add-list member, or a rule's head
-    # unifies with the goal and its body with distinct add-list members
+    # (one the caller's screen marks ``live``) unifies with the goal and
+    # its body with distinct add-list members
     for add in event.adds:
         extended = unify(goal, add, subst)
         if extended is not None:
             yield extended, None
-    for rule, fresh in _renamed_rules(subst.walk(goal), kb, subst, names):
+    for rule, fresh in _renamed_rules(subst.walk(goal), kb, subst, names, live):
         extended = unify(goal, fresh.head, subst)
         if extended is None:
             continue
@@ -584,6 +590,13 @@ def _ground_key(term: Term, subst: Substitution):
     return tuple(key)
 
 
+# a knowledge base keeps the screen verdicts of at most this many ground
+# goals. The benchmark's gated workloads meet 11-21 per knowledge base,
+# and long_route about 480 per 160-leg route, 3865 over its 8 routes; at
+# about 350 bytes an entry, a full table holds under 1.5 MiB
+_SCREENS_MAX = 4096
+
+
 def _plan(
     goal: Term,
     index: _Index,
@@ -623,18 +636,29 @@ def _plan(
     # that can reach the goal neither by an add nor by feeding the body
     # of a rule whose head may unify with it. If an add or a rule head
     # shares the goal's root, a skipped action still takes the names
-    # that renaming it and those rules would take
+    # that renaming it and those rules would take. These verdicts depend
+    # only on the knowledge base and the walked goal, so a ground goal's
+    # are worked out once per knowledge base
     rooted = kb.rooted(signature(seen))
-    live = [_may_unify(seen, r.head, subst) for r in rooted.rules]
-    for event, roots, users in rooted.actions:
-        if not any(live[i] for i in users) and not any(_may_unify(seen, a, subst) for a in roots):
+    screened = kb._screens.get(key)
+    if screened is None:
+        live = tuple(_may_unify(seen, r.head, subst) for r in rooted.rules)
+        screened = live, tuple(
+            any(live[i] for i in users) or any(_may_unify(seen, a, subst) for a in roots)
+            for _, roots, users in rooted.actions
+        )
+        if key is not None and len(kb._screens) < _SCREENS_MAX:
+            kb._screens[key] = screened
+    live, meets = screened
+    for (event, roots, _), meet in zip(rooted.actions, meets):
+        if not meet:
             if rooted.rules or roots:
                 search.names.reserve(event.fresh_width + rooted.width)
             continue
         fresh = fresh_event(event, search.names)
         this_id = search.next_id
         search.next_id += 1
-        for achieved, via_rule in _achieves_iter(fresh, goal, kb, subst, search.names):
+        for achieved, via_rule in _achieves_iter(fresh, goal, kb, subst, search.names, live):
             rec = _Rec(this_id, fresh, goal, via_rule, parent_id)
             for pre_recs, mid, mid_subst in _plan_seq(
                 fresh.pcs, index, new_stack, achieved, used + 1, kb, search, this_id

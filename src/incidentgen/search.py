@@ -6,7 +6,8 @@ and chase the most promising one (best-first). Scoring delegates back
 to the planner: its ``plan_distance`` rates a situation by the length
 of the shortest remaining plan, which its bounded search finds without
 building any plan; 0 means the goal holds. A story scores each
-situation once, in one table keyed by situation.
+situation once, in one table keyed by situation, and lists the moves
+that apply in each situation once, in another.
 
 The adversarial loop plays a protagonist against an antagonist with a
 private action repertoire. Turns alternate strictly, protagonist
@@ -92,12 +93,13 @@ def forward_search(
     broken by insertion order, so results are deterministic. Sequences
     longer than max_depth are not expanded.
     """
-    return _forward(sitn, goal, kb, (cfg or SearchConfig()).max_depth, {})
+    return _forward(sitn, goal, kb, (cfg or SearchConfig()).max_depth, {}, {})
 
 
 def _forward(
-    sitn: Situation, goal: Term, kb: KnowledgeBase, max_depth: int, scores: dict[Situation, int]
+    sitn: Situation, goal: Term, kb: KnowledgeBase, max_depth: int, scores: dict, moves: dict
 ) -> Plan:
+    # a story's tables, keyed by situation: its scores, and its moves
     counter = itertools.count()
     heap: list[tuple[int, int, Situation, tuple[Term, ...]]] = [
         (-_score(scores, sitn, goal, kb), next(counter), sitn, ())
@@ -111,7 +113,9 @@ def _forward(
             )
         if len(actions) >= max_depth:
             continue
-        for instance, post in _applicable_actions(here, kb):
+        if here not in moves:
+            moves[here] = _applicable_actions(here, kb)
+        for instance, post in moves[here]:
             if post in visited:
                 continue
             visited.add(post)
@@ -152,6 +156,7 @@ def adversarial_story(
     full_kb = replace(kb, events=(*kb.events, *antagonist_actions))
     antag_kb = replace(kb, events=antagonist_actions)
     scores: dict[Situation, int] = {}
+    moves: dict[Situation, list[tuple[Term, Situation]]] = {}
     # the story's open moves come from separate queries; each takes
     # names here, above every _G name the story starts from
     names = FreshNames(fresh_floor((*kb.init, hero_goal)))
@@ -167,7 +172,7 @@ def adversarial_story(
             raise StalemateError(turn)
         move = why = None
         if turn % 2 == 0:
-            why = _forward(sitn, hero_goal, kb, cfg.max_depth, scores).steps[0]
+            why = _forward(sitn, hero_goal, kb, cfg.max_depth, scores, moves).steps[0]
             why = replace(why, action=renamed(why.action))
             move = why.action
         elif candidates := _applicable_actions(sitn, antag_kb):

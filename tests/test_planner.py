@@ -1,6 +1,7 @@
 """Backward planner: satisfaction, achievement, enumeration, scoring."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from incidentgen import (
 )
 from incidentgen import planner, search, simulator
 from incidentgen.planner import _achieves_iter
-from incidentgen.terms import signature
+from incidentgen.terms import ground, signature
 from conftest import facts
 
 NOMINAL = tuple(
@@ -608,6 +609,70 @@ def test_plans_and_their_fresh_names_match_the_reference(kb):
     bound = 3
     got = enumerate_plans(kb.goal, kb.init, kb, PlannerConfig(max_plan_length=bound))
     assert {p.actions for p in got} == backward_plan_set(kb.goal, kb.init, kb, bound)
+
+
+# ---------------------------------------------------------- screen verdicts
+
+
+# goals of one signature whose verdicts differ (an add p(f(X)) may meet
+# p(f(k)) but not p(k)), and open ones, whose verdicts are not kept
+_ASKED = ("done", "t", "p(k)", "p(f(k))", "p(V)", "q(f(k))", "r(k, k)", "r(f(k), V)")
+
+
+@settings(max_examples=100)
+@given(nonground_kbs(), st.permutations(_ASKED))
+def test_a_knowledge_base_warmed_by_other_queries_plans_as_a_fresh_one(kb, asked):
+    # the screen verdicts that queries left on the knowledge base change no
+    # plan and no fresh name; replace(kb) is the same one with none kept
+    cfg = PlannerConfig(max_plan_length=4)
+    warm = replace(kb)
+    for goal in asked:
+        enumerate_plans(parse_term(goal), kb.init, warm, cfg)
+    for goal in map(parse_term, _ASKED):
+        for query in (make_best_plan, enumerate_plans):
+            got = _outcome(lambda: query(goal, kb.init, warm, cfg))
+            assert got == _outcome(lambda: query(goal, kb.init, replace(kb), cfg))
+
+
+def test_a_recurring_ground_goal_is_screened_once(kb, monkeypatch):
+    # on a complete flight graph, one best-plan query meets ground subgoals
+    # such as alocation(airplane1, near(chicago)) on many branches; each
+    # is screened against the actions' adds once
+    sitn = facts(
+        "airplane(airplane1)",
+        "passengers(passengers1)",
+        "plocation(passengers1, gate(seattle))",
+        "alocation(airplane1, gate(seattle))",
+        *(f"flight_path({a}, {b})" for a in FOUR_CITIES for b in FOUR_CITIES if a != b),
+    )
+    adds = {id(add) for event in kb.actions for add in event.adds}
+    screened = Counter()
+
+    def counted(goal, raw, subst, _call=planner._may_unify):
+        walked = substitute(goal, subst)
+        if id(raw) in adds and ground(walked):
+            screened[format_term(walked), format_term(raw)] += 1
+        return _call(goal, raw, subst)
+
+    monkeypatch.setattr(planner, "_may_unify", counted)
+    fresh = replace(kb)
+    assert len(make_best_plan(kb.goal, sitn, fresh).plan) == 7
+    assert screened and max(screened.values()) == 1
+
+
+def test_the_screen_table_keeps_no_more_goals_than_its_bound(
+    kb, boarded, fire_on_runway, monkeypatch
+):
+    cases = [(kb.goal, kb.init), (kb.goal, boarded), (kb.goal, fire_on_runway)]
+
+    def answers(on):
+        return [(make_best_plan(g, s, on), enumerate_plans(g, s, on)) for g, s in cases]
+
+    expected = answers(replace(kb))
+    monkeypatch.setattr(planner, "_SCREENS_MAX", 1)
+    small = replace(kb)
+    assert answers(small) == expected
+    assert len(small._screens) == 1
 
 
 @given(nonground_kbs(), st.data())

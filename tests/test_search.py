@@ -1,5 +1,6 @@
 """Forward best-first search and the adversarial story mode."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from incidentgen import (
     parse_term,
     plan_distance,
 )
+from incidentgen import search
 from incidentgen.kb import data_path
 from conftest import facts
 
@@ -131,6 +133,22 @@ def test_saboteur_forces_a_repeat_leg(kb, saboteur):
         story.steps[i].justification is not None for i in range(10) if i != 4
     )
     assert story.rng_after is None
+
+
+def test_a_duel_asks_for_the_moves_of_each_situation_once(kb, saboteur, monkeypatch):
+    # the hero's searches of successive turns expand many of the same
+    # situations; the story keeps each one's moves, as it keeps its score
+    calls = Counter()
+
+    def counted(events, sitn, on, _call=search.applicable):
+        calls[sitn, on.events] += 1
+        return _call(events, sitn, on)
+
+    monkeypatch.setattr(search, "applicable", counted)
+    hero_kb = replace(kb, init=kb.init | saboteur.init)
+    story = adversarial_story(hero_kb, kb.goal, saboteur.actions, SearchConfig(max_depth=24))
+    assert len(story.steps) == 10
+    assert sum(calls.values()) == len(calls) == 21
 
 
 def test_adversarial_story_without_antagonist_matches_solo_search(kb):
