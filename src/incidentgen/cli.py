@@ -64,6 +64,10 @@ class RunManifest:
         # a manifest obeys the limits of the flags it records
         if self.mode not in ("table", "seed"):
             raise ValueError(f"mode must be 'table' or 'seed', not {self.mode!r}")
+        if (self.mode == "seed") != (self.seed is not None):
+            raise ValueError(f"mode {self.mode!r} does not go with seed {self.seed!r}")
+        if self.style not in STYLES:
+            raise ValueError(f"unknown style {self.style!r} (choose from {STYLES})")
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if any(index < 0 for index, _ in self.injection_schedule):
@@ -75,22 +79,31 @@ class RunManifest:
     @classmethod
     def from_json(cls, obj: dict) -> "RunManifest":
         try:
+            if type(obj["prob"]) not in (int, float):
+                raise ValueError(f"prob must be a number, not {obj['prob']!r}")
             return cls(
                 kb_path=str(obj["kb_path"]),
                 command=str(obj["command"]),
                 mode=str(obj["mode"]),
-                seed=None if obj["seed"] is None else int(obj["seed"]),
+                seed=None if obj["seed"] is None else _whole(obj["seed"], "seed"),
                 prob=float(obj["prob"]),
-                max_happenings=int(obj["max_happenings"]),
+                max_happenings=_whole(obj["max_happenings"], "max_happenings"),
                 injection_schedule=tuple(
-                    (int(i), str(e)) for i, e in obj["injection_schedule"]
+                    (_whole(i, "step number"), str(e)) for i, e in obj["injection_schedule"]
                 ),
                 style=str(obj["style"]),
-                count=int(obj["count"]),
+                count=_whole(obj["count"], "count"),
                 version=str(obj["version"]),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"malformed manifest: {err}") from None
+
+
+def _whole(value, name: str) -> int:
+    # not coerced: no flag records a fraction, or a bool (an int to Python)
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return value
 
 
 def _checked(
@@ -110,17 +123,9 @@ def _load_checked(path: str, require_init_goal: bool = True) -> KnowledgeBase:
     return kb
 
 
-def _initial_rng(manifest: RunManifest) -> RngState:
-    if manifest.mode == "seed":
-        if manifest.seed is None:
-            raise ValueError("manifest mode is 'seed' but seed is null")
-        return RngState.seeded(manifest.seed)
-    return RngState.table()
-
-
 def _run_traces(kb: KnowledgeBase, manifest: RunManifest) -> list:
     schedule = tuple((i, parse_term(e)) for i, e in manifest.injection_schedule)
-    rng = _initial_rng(manifest)
+    rng = RngState.table() if manifest.seed is None else RngState.seeded(manifest.seed)
     cfg = SimConfig(
         happening_prob=manifest.prob,
         max_happenings=manifest.max_happenings,
@@ -141,9 +146,7 @@ def _step_json(step, kb: KnowledgeBase) -> dict:
         j = step.justification
         justification = {
             "achieves": format_term(j.achieves_goal),
-            "parent_action": (
-                format_term(j.parent.action) if j.parent is not None else None
-            ),
+            "parent_action": None if j.parent is None else format_term(j.parent.action),
         }
     return {
         "index": step.index,

@@ -124,9 +124,7 @@ class PlannerConfig:
 class PlanStep:
     """One action plus the reason it is in the plan.
 
-    ``achieves_goal`` is the subgoal this action was selected for,
-    ``via_rule`` the derivation rule that connected the action's
-    add-list to that subgoal (None if an add matched directly), and
+    ``achieves_goal`` is the subgoal this action was selected for, and
     ``parent`` the later step whose precondition the subgoal is; the
     root step (parent None) achieves the plan's top-level goal.
     ``solution`` is the renamed action and the plan's substitution,
@@ -135,7 +133,6 @@ class PlanStep:
 
     action: Term
     achieves_goal: Term
-    via_rule: Optional[DerivationRule] = None
     parent: Optional["PlanStep"] = field(default=None, repr=False)
     solution: Optional[tuple[EventDef, Substitution]] = field(
         default=None, compare=False, repr=False
@@ -193,7 +190,7 @@ def plan_sort_key(plan: Plan) -> tuple:
 
 def _renamed_rules(
     seen: Term, kb: KnowledgeBase, subst: Substitution, names: FreshNames, live=None
-) -> Iterator[tuple[DerivationRule, DerivationRule]]:
+) -> Iterator[DerivationRule]:
     # each rule whose head may unify with the walked goal (those ``live``
     # marks, if the caller screened them), renamed apart. One whose root
     # matches but whose head cannot unify only takes its block of names,
@@ -202,7 +199,7 @@ def _renamed_rules(
     rules = kb.rooted(signature(seen)).rules
     for rule, meets in zip(rules, live or [_may_unify(seen, r.head, subst) for r in rules]):
         if meets:
-            yield rule, fresh_rule(rule, names)
+            yield fresh_rule(rule, names)
         else:
             names.reserve(rule.fresh_width)
 
@@ -344,7 +341,7 @@ def _satisfied_iter(
             yield extended
     if depth <= 0:
         return
-    for _, fresh in _renamed_rules(seen, kb, subst, names):
+    for fresh in _renamed_rules(seen, kb, subst, names):
         extended = unify(goal, fresh.head, subst)
         if extended is not None:
             yield from _satisfied_seq(fresh.body, index, kb, extended, names, depth - 1)
@@ -513,20 +510,18 @@ def _achieves_iter(
     subst: Substitution,
     names: FreshNames,
     live=None,
-) -> Iterator[tuple[Substitution, Optional[DerivationRule]]]:
+) -> Iterator[Substitution]:
     # either the goal unifies with an add-list member, or a rule's head
     # (one the caller's screen marks ``live``) unifies with the goal and
     # its body with distinct add-list members
     for add in event.adds:
         extended = unify(goal, add, subst)
         if extended is not None:
-            yield extended, None
-    for rule, fresh in _renamed_rules(subst.walk(goal), kb, subst, names, live):
+            yield extended
+    for fresh in _renamed_rules(subst.walk(goal), kb, subst, names, live):
         extended = unify(goal, fresh.head, subst)
-        if extended is None:
-            continue
-        for solution in _match_distinct(fresh.body, event.adds, extended):
-            yield solution, rule
+        if extended is not None:
+            yield from _match_distinct(fresh.body, event.adds, extended)
 
 
 # ------------------------------------------------------------------ effects
@@ -547,21 +542,19 @@ def apply_effects(
 
 @dataclass
 class _Search:
-    """Per-search state: the length bound, the fresh names, the next step id."""
+    """Per-search state: the length bound and the fresh names."""
 
     bound: int
     names: FreshNames
-    next_id: int = 1
 
 
 class _Rec(NamedTuple):
-    """Search-time record of one chosen action, shared by its branches."""
+    """Search-time record of one chosen action, shared by its branches: the
+    renamed action, its goal, and the record it serves (None at the top)."""
 
-    id: int
-    event: EventDef  # renamed apart
-    goal_raw: Term
-    via_rule: Optional[DerivationRule]
-    parent_id: Optional[int]
+    event: EventDef
+    goal: Term
+    parent: Optional["_Rec"]
 
 
 # the goals a subgoal was chosen for: all of them, the keys of those
@@ -605,10 +598,10 @@ def _plan(
     used: int,
     kb: KnowledgeBase,
     search: _Search,
-    parent_id: Optional[int],
+    parent: Optional[_Rec],
 ) -> Iterator[tuple[tuple[_Rec, ...], _Index, Substitution]]:
     # ``used`` counts the plan's steps already chosen outside this subgoal,
-    # and ``parent_id`` is the step that needs the goal (None at the top)
+    # and ``parent`` is the record of the step that needs the goal
     # already true: one empty plan per satisfying substitution, and the
     # action case is then blocked entirely
     satisfied_any = False
@@ -656,12 +649,10 @@ def _plan(
                 search.names.reserve(event.fresh_width + rooted.width)
             continue
         fresh = fresh_event(event, search.names)
-        this_id = search.next_id
-        search.next_id += 1
-        for achieved, via_rule in _achieves_iter(fresh, goal, kb, subst, search.names, live):
-            rec = _Rec(this_id, fresh, goal, via_rule, parent_id)
+        for achieved in _achieves_iter(fresh, goal, kb, subst, search.names, live):
+            rec = _Rec(fresh, goal, parent)
             for pre_recs, mid, mid_subst in _plan_seq(
-                fresh.pcs, index, new_stack, achieved, used + 1, kb, search, this_id
+                fresh.pcs, index, new_stack, achieved, used + 1, kb, search, rec
             ):
                 # delete patterns unify against situation facts, and each
                 # way of pairing them up is a separate branch
@@ -679,34 +670,30 @@ def _plan_seq(
     used: int,
     kb: KnowledgeBase,
     search: _Search,
-    parent_id: Optional[int],
+    parent: Optional[_Rec],
 ) -> Iterator[tuple[tuple[_Rec, ...], _Index, Substitution]]:
     if not goals:
         yield (), index, subst
         return
-    for recs1, index1, subst1 in _plan(
-        goals[0], index, stack, subst, used, kb, search, parent_id
-    ):
+    for recs1, index1, subst1 in _plan(goals[0], index, stack, subst, used, kb, search, parent):
         for recs2, index2, subst2 in _plan_seq(
-            goals[1:], index1, stack, subst1, used + len(recs1), kb, search, parent_id
+            goals[1:], index1, stack, subst1, used + len(recs1), kb, search, parent
         ):
             yield recs1 + recs2, index2, subst2
 
 
 def _finalize(recs: tuple[_Rec, ...], subst: Substitution) -> Plan:
-    by_id: dict[int, PlanStep] = {}
-    # consumers sit after their precondition steps, so walking the list
-    # backwards always finds the parent already built
+    # steps by record identity; consumers sit after their precondition
+    # steps, so walking the list backwards always finds the parent built
+    steps: dict[int, PlanStep] = {}
     for rec in reversed(recs):
-        parent = by_id.get(rec.parent_id) if rec.parent_id is not None else None
-        by_id[rec.id] = PlanStep(
+        steps[id(rec)] = PlanStep(
             action=substitute(rec.event.head, subst),
-            achieves_goal=substitute(rec.goal_raw, subst),
-            via_rule=rec.via_rule,
-            parent=parent,
+            achieves_goal=substitute(rec.goal, subst),
+            parent=None if rec.parent is None else steps[id(rec.parent)],
             solution=(rec.event, subst),
         )
-    return Plan(steps=tuple(by_id[rec.id] for rec in recs))
+    return Plan(steps=tuple(steps[id(rec)] for rec in recs))
 
 
 def _plans(

@@ -629,14 +629,14 @@ def _manifest_file(tmp_path, name, **changes):
 def _replay_fancy_style(tmp_path):
     path = _manifest_file(tmp_path, "fancy.json", style="fancy")
     return ["generate", "--replay", str(path)], (
-        "error: unknown style 'fancy' (choose from ('plain', 'storybook'))\n"
+        "error: malformed manifest: unknown style 'fancy' (choose from ('plain', 'storybook'))\n"
     )
 
 
 def _replay_null_seed(tmp_path):
     path = _manifest_file(tmp_path, "seedless.json", mode="seed", seed=None)
     return ["generate", "--replay", str(path)], (
-        "error: manifest mode is 'seed' but seed is null\n"
+        "error: malformed manifest: mode 'seed' does not go with seed None\n"
     )
 
 
@@ -651,6 +651,55 @@ def _replay_no_incidents(tmp_path):
     path = _manifest_file(tmp_path, "none.json", count=0)
     return ["generate", "--replay", str(path)], (
         "error: malformed manifest: count must be at least 1\n"
+    )
+
+
+def _replay_fractional_seed(tmp_path):
+    path = _manifest_file(tmp_path, "seed.json", mode="seed", seed=1.5)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: seed must be a whole number, not 1.5\n"
+    )
+
+
+def _replay_fractional_count(tmp_path):
+    path = _manifest_file(tmp_path, "count.json", count=2.9)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: count must be a whole number, not 2.9\n"
+    )
+
+
+def _replay_boolean_count(tmp_path):
+    path = _manifest_file(tmp_path, "yes.json", count=True)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: count must be a whole number, not True\n"
+    )
+
+
+def _replay_fractional_happenings(tmp_path):
+    path = _manifest_file(tmp_path, "half.json", max_happenings=0.5)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: max_happenings must be a whole number, not 0.5\n"
+    )
+
+
+def _replay_boolean_prob(tmp_path):
+    path = _manifest_file(tmp_path, "sure.json", prob=True)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: prob must be a number, not True\n"
+    )
+
+
+def _replay_fractional_step(tmp_path):
+    path = _manifest_file(tmp_path, "step.json", injection_schedule=[[2.5, "ill_passenger"]])
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: step number must be a whole number, not 2.5\n"
+    )
+
+
+def _replay_table_with_seed(tmp_path):
+    path = _manifest_file(tmp_path, "seeded.json", seed=7)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: mode 'table' does not go with seed 7\n"
     )
 
 
@@ -751,6 +800,13 @@ def _forward_kb_without_goal(tmp_path):
         _replay_null_seed,
         _replay_bad_injection,
         _replay_no_incidents,
+        _replay_fractional_seed,
+        _replay_fractional_count,
+        _replay_boolean_count,
+        _replay_fractional_happenings,
+        _replay_boolean_prob,
+        _replay_fractional_step,
+        _replay_table_with_seed,
         _replay_negative_step,
         _replay_unknown_mode,
         _kb_not_utf8,
@@ -765,6 +821,14 @@ def test_bad_input_exits_2_with_its_message(run, tmp_path, case):
     argv, expected_err = case(tmp_path)
     code, out, err = run(*argv)
     assert (code, out, err) == (2, "", expected_err)
+
+
+def test_a_manifest_style_is_checked_before_any_incident_runs(run, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("incidentgen.cli.generate_incident", lambda *a: calls.append(a))
+    path = _manifest_file(tmp_path, "fancy.json", style="fancy", count=2000)
+    code, out, _ = run("generate", "--replay", str(path))
+    assert (code, out, calls) == (2, "", [])
 
 
 def test_a_stray_index_error_is_a_bug_not_a_failure(monkeypatch):

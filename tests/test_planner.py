@@ -135,7 +135,7 @@ def test_facts_are_tried_in_term_order(goal, loose):
 
 def achieving(event, goal, rules=()):
     kb = KnowledgeBase(rules=tuple(rules))
-    return [s for s, _ in _achieves_iter(event, goal, kb, Substitution(), FreshNames())]
+    return list(_achieves_iter(event, goal, kb, Substitution(), FreshNames()))
 
 
 def test_achieves_via_add_list_binding(kb):
@@ -462,6 +462,48 @@ def test_every_enumerated_plan_replays_soundly(kb, boarded, fire_on_runway):
             assert replay(plan.actions, sitn, goal, kb) is None
 
 
+# ------------------------------------------------------------- parent links
+
+
+def _check_parent_links(plans, goal):
+    # a step's parent is a later step of its plan, one of whose
+    # preconditions the step achieves; a root step achieves the planned
+    # goal. Each is read under the solution the planner chose for it.
+    # Returns the number of steps that have a parent
+    linked = 0
+    for plan in plans:
+        for i, step in enumerate(plan.steps):
+            if step.parent is None:
+                assert step.achieves_goal == substitute(goal, step.solution[1])
+                continue
+            linked += 1
+            assert any(step.parent is later for later in plan.steps[i + 1 :])
+            event, subst = step.parent.solution
+            assert step.achieves_goal in [substitute(pc, subst) for pc in event.pcs]
+    return linked
+
+
+def test_each_step_links_to_the_later_step_that_needs_it(kb, boarded, fire_on_runway):
+    four_cities = facts(
+        "airplane(airplane1)",
+        "passengers(passengers1)",
+        "plocation(passengers1, gate(seattle))",
+        "alocation(airplane1, gate(seattle))",
+        *(f"flight_path({a}, {b})" for a in FOUR_CITIES for b in FOUR_CITIES if a != b),
+    )
+    cases = [
+        (kb.goal, kb.init),
+        (kb.goal, boarded),
+        (parse_term("p_on_ground(passengers1)"), fire_on_runway),
+        # an open goal: the root step achieves it as the plan bound it
+        (parse_term("plocation(P, gate(dallas))"), kb.init),
+        (kb.goal, four_cities),
+    ]
+    for goal, sitn in cases:
+        plans = [*enumerate_plans(goal, sitn, kb), make_best_plan(goal, sitn, kb).plan]
+        assert _check_parent_links(plans, goal) > 0
+
+
 # ------------------------------------------------------------ work counts
 
 
@@ -609,6 +651,18 @@ def test_plans_and_their_fresh_names_match_the_reference(kb):
     bound = 3
     got = enumerate_plans(kb.goal, kb.init, kb, PlannerConfig(max_plan_length=bound))
     assert {p.actions for p in got} == backward_plan_set(kb.goal, kb.init, kb, bound)
+
+
+@settings(max_examples=100)
+@given(nonground_kbs())
+def test_each_step_links_to_the_later_step_that_needs_it_on_random_kbs(kb):
+    # the knowledge bases the reference planner is checked on, whose
+    # steps reach goals through rules and open head variables
+    cfg = PlannerConfig(max_plan_length=4)
+    plans = enumerate_plans(kb.goal, kb.init, kb, cfg)
+    if plans:
+        plans.append(make_best_plan(kb.goal, kb.init, kb, cfg).plan)
+    _check_parent_links(plans, kb.goal)
 
 
 # ---------------------------------------------------------- screen verdicts
