@@ -81,19 +81,23 @@ class RunManifest:
         try:
             if type(obj["prob"]) not in (int, float):
                 raise ValueError(f"prob must be a number, not {obj['prob']!r}")
+            # only a generate run writes a manifest, so only one replays
+            if obj["command"] != "generate":
+                raise ValueError(f"command must be 'generate', not {obj['command']!r}")
             return cls(
-                kb_path=str(obj["kb_path"]),
-                command=str(obj["command"]),
-                mode=str(obj["mode"]),
+                kb_path=_text(obj["kb_path"], "kb_path"),
+                command="generate",
+                mode=_text(obj["mode"], "mode"),
                 seed=None if obj["seed"] is None else _whole(obj["seed"], "seed"),
                 prob=float(obj["prob"]),
                 max_happenings=_whole(obj["max_happenings"], "max_happenings"),
                 injection_schedule=tuple(
-                    (_whole(i, "step number"), str(e)) for i, e in obj["injection_schedule"]
+                    (_whole(i, "step number"), _text(e, "injected event"))
+                    for i, e in obj["injection_schedule"]
                 ),
-                style=str(obj["style"]),
+                style=_text(obj["style"], "style"),
                 count=_whole(obj["count"], "count"),
-                version=str(obj["version"]),
+                version=_text(obj["version"], "version"),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"malformed manifest: {err}") from None
@@ -103,6 +107,13 @@ def _whole(value, name: str) -> int:
     # not coerced: no flag records a fraction, or a bool (an int to Python)
     if type(value) is not int:
         raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return value
+
+
+def _text(value, name: str) -> str:
+    # not coerced: str() would make a null kb_path the file name "None"
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, not {value!r}")
     return value
 
 

@@ -209,6 +209,13 @@ class KnowledgeBase:
     def _screens(self) -> dict:  # the planner's verdicts per ground goal
         return {}
 
+    @cached_property
+    def _first_plans(self) -> dict:
+        # the best plan for ``goal`` from ``init`` per PlannerConfig, kept
+        # by the simulator. It holds the config in use only, so at most
+        # one plan: a run plans under one config
+        return {}
+
     def rooted(self, sig: Optional[tuple[str, int]]) -> Rooted:
         """The clauses that may meet a goal of signature ``sig`` (None for
         a variable goal), worked out on first use and kept."""

@@ -7,6 +7,11 @@ happening is chosen. After a happening the goal is reassessed against
 the revision rules and a fresh best plan replaces the remainder of the
 old one. Everything that occurs is recorded in a Trace.
 
+Every incident of a knowledge base starts with the same query, its goal
+from its initial situation, so the knowledge base keeps that one best
+plan for the planner config in use, for as long as it lives. Replans
+differ from story to story and are worked out each time.
+
 Randomness is threaded functionally (see :mod:`incidentgen.rng`), so a
 given configuration always reproduces the same trace. Every question
 about the knowledge base is asked of :mod:`incidentgen.planner`.
@@ -190,7 +195,9 @@ def execute_plan(
     the schedule names this step or a probability draw fires and some
     happening is applicable, that happening occurs, the goal is
     reassessed, and the plan is rebuilt; otherwise the next plan action
-    executes after its preconditions are re-verified.
+    executes after its preconditions are re-verified. A drawn happening
+    fires only while the budget exceeds the schedule's entries for
+    later steps, so it never takes one of theirs.
     """
     cfg = cfg or SimConfig()
     schedule: dict[int, Term] = {}
@@ -227,7 +234,7 @@ def execute_plan(
                 fired.add(index)
             else:
                 drawn, rng = maybe(cfg.happening_prob, rng)
-                if drawn:
+                if drawn and budget > sum(i > index for i in schedule):
                     candidates = applicable_happenings(sitn, kb)
                     if candidates:
                         happening, rng = rnd_member(candidates, rng)
@@ -279,9 +286,18 @@ def execute_plan(
 
 def generate_incident(kb: KnowledgeBase, cfg: Optional[SimConfig] = None) -> Trace:
     """Plan for the knowledge base's goal from its initial situation
-    and simulate the execution."""
+    and simulate the execution.
+
+    That first plan is the same for every incident, so the knowledge
+    base keeps it, keyed by planner config, and only for the config last
+    used; a query that finds no plan is not kept. Replans are not kept.
+    """
     if kb.goal is None:
         raise ValueError("knowledge base declares no goal")
     cfg = cfg or SimConfig()
-    scored = make_best_plan(kb.goal, kb.init, kb, cfg.planner)
+    scored = kb._first_plans.get(cfg.planner)
+    if scored is None:
+        scored = make_best_plan(kb.goal, kb.init, kb, cfg.planner)
+        kb._first_plans.clear()
+        kb._first_plans[cfg.planner] = scored
     return execute_plan(scored, kb.init, kb.goal, cfg, kb)

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,23 @@ def test_generate_with_injection(run):
     code, out, err = run("generate", "--prob", "0", "--inject", "3:ill_passenger")
     assert (code, err) == (0, "")
     assert out == ILL_STORY
+
+
+def test_a_drawn_happening_leaves_a_scheduled_one_its_budget(run):
+    argv = ("generate", "--seed", "42", "--count", "20", "--prob", "0.5")
+    code, out, err = run(*argv, "--inject", "3:ill_passenger")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f91576fecef0a2fa8aed8442dd8e6442a42f1c231afdc58589942052d34ed5d"
+    )
+    # a budget of two leaves room for a drawn happening, and the story
+    # replanned after it ends before step 3
+    code, out, err = run(*argv, "--inject", "3:ill_passenger", "--max-happenings", "2")
+    assert (code, out, err) == (
+        1,
+        "",
+        "error: injection schedule entries never fired at steps 3\n",
+    )
 
 
 def test_generate_quiet_run_is_the_nominal_flight(run):
@@ -717,6 +735,20 @@ def _replay_unknown_mode(tmp_path):
     )
 
 
+def _replay_explain_command(tmp_path):
+    path = _manifest_file(tmp_path, "explain.json", command="explain")
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: command must be 'generate', not 'explain'\n"
+    )
+
+
+def _replay_null_kb_path(tmp_path):
+    path = _manifest_file(tmp_path, "nokb.json", kb_path=None)
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: kb_path must be a string, not None\n"
+    )
+
+
 def _replay_not_json(tmp_path):
     path = tmp_path / "notes.txt"
     path.write_text("not json")
@@ -809,6 +841,8 @@ def _forward_kb_without_goal(tmp_path):
         _replay_table_with_seed,
         _replay_negative_step,
         _replay_unknown_mode,
+        _replay_explain_command,
+        _replay_null_kb_path,
         _kb_not_utf8,
         _adversary_collides,
         _adversary_fails_validation,

@@ -1,11 +1,18 @@
 """World simulation: injection, spontaneous happenings, goal revision."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incidentgen import (
+    IncidentgenError,
     InvalidInjectionError,
     NoPlanFoundError,
     Plan,
+    PlannerConfig,
     PlanStep,
     PreconditionViolationError,
     RngState,
@@ -15,12 +22,17 @@ from incidentgen import (
     applicable_happenings,
     apply_event,
     execute_plan,
+    explain,
+    format_explanation,
     generate_incident,
     iter_satisfying,
+    make_best_plan,
     parse_kb,
     parse_term,
+    render_story,
     revise_goal,
 )
+from incidentgen import simulator
 from conftest import facts
 
 
@@ -201,6 +213,21 @@ def test_duplicate_injection_indices_rejected(kb):
         )
 
 
+def test_a_drawn_happening_leaves_the_budget_to_a_scheduled_one(kb):
+    # every draw fires, but the one happening allowed is the schedule's:
+    # steps 0-2 draw and act, and no draw follows the illness
+    trace = generate_incident(
+        kb, SimConfig(happening_prob=1.0, injection_schedule=inject((3, "ill_passenger")))
+    )
+    assert heads(trace)[:4] == [
+        ("action", parse_term("load(passengers1, airplane1)")),
+        ("action", parse_term("taxi_to_runway(airplane1)")),
+        ("action", parse_term("take_off(airplane1, seattle)")),
+        ("happening", parse_term("ill_passenger")),
+    ]
+    assert trace.rng_after == RngState.table(3)
+
+
 # ----------------------------------------------------------- random draws
 
 
@@ -305,3 +332,83 @@ def test_config_rejects_bad_parameters():
         SimConfig(happening_prob=1.5)
     with pytest.raises(ValueError):
         SimConfig(max_happenings=-1)
+
+
+# ------------------------------------------------------------ first plan
+
+
+def test_a_run_plans_the_knowledge_base_goal_once(kb, monkeypatch):
+    calls = Counter()
+
+    def counted(goal, sitn, on, cfg=None, _call=simulator.make_best_plan):
+        calls[goal == kb.goal and sitn == kb.init] += 1
+        return _call(goal, sitn, on, cfg)
+
+    monkeypatch.setattr(simulator, "make_best_plan", counted)
+    fresh, rng, replans = replace(kb), RngState.seeded(42), 0
+    for _ in range(100):
+        trace = generate_incident(fresh, SimConfig(rng=rng))
+        replans += len(trace.replans)
+        rng = trace.rng_after
+    assert replans > 0
+    assert calls == {True: 1, False: replans}
+
+
+_CONFIGS = (
+    PlannerConfig(),
+    PlannerConfig(scorer="constant"),
+    PlannerConfig(max_plan_length=3),
+    PlannerConfig(max_plan_length=9),
+)
+
+
+def _stories(kb, cfg, count=3):
+    # each incident's trace, story and why-chains, or the error that ended the run
+    told = []
+    rng = cfg.rng
+    for _ in range(count):
+        try:
+            trace = generate_incident(kb, replace(cfg, rng=rng))
+        except IncidentgenError as err:
+            return told + [(type(err), str(err))]
+        whys = [format_explanation(explain(trace, i)) for i in range(len(trace.steps))]
+        told.append((trace, render_story(trace, kb), whys))
+        rng = trace.rng_after
+    return told
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([0.0, 0.3, 0.7]),
+    st.integers(0, 2),
+    st.sampled_from(_CONFIGS),
+    st.lists(st.sampled_from(_CONFIGS), max_size=3),
+)
+def test_a_warmed_knowledge_base_tells_the_stories_a_fresh_one_does(
+    kb, seed, prob, max_happenings, planner, warmers
+):
+    cfg = SimConfig(
+        happening_prob=prob,
+        max_happenings=max_happenings,
+        rng=RngState.seeded(seed),
+        planner=planner,
+    )
+    warm = replace(kb)
+    for other in (planner, *warmers):
+        _stories(warm, replace(cfg, rng=RngState.seeded(seed + 1), planner=other), 2)
+    assert _stories(warm, cfg) == _stories(replace(kb), cfg)
+
+
+def test_a_kept_first_plan_serves_only_its_own_config(kb):
+    warm = replace(kb)
+    generate_incident(warm, SimConfig(happening_prob=0.0))
+    with pytest.raises(NoPlanFoundError):
+        generate_incident(
+            warm, SimConfig(happening_prob=0.0, planner=PlannerConfig(max_plan_length=3))
+        )
+    constant = SimConfig(happening_prob=0.0, planner=PlannerConfig(scorer="constant"))
+    assert generate_incident(warm, constant) == generate_incident(replace(kb), constant)
+    assert warm._first_plans == {
+        constant.planner: make_best_plan(kb.goal, kb.init, kb, constant.planner)
+    }
