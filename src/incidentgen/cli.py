@@ -70,8 +70,11 @@ class RunManifest:
             raise ValueError(f"unknown style {self.style!r} (choose from {STYLES})")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if any(index < 0 for index, _ in self.injection_schedule):
+        steps = [index for index, _ in self.injection_schedule]
+        if any(index < 0 for index in steps):
             raise ValueError("step number must not be negative")
+        if len(set(steps)) < len(steps):
+            raise ValueError(f"duplicate injection index {max(steps, key=steps.count)}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -140,7 +143,6 @@ def _run_traces(kb: KnowledgeBase, manifest: RunManifest) -> list:
     cfg = SimConfig(
         happening_prob=manifest.prob,
         max_happenings=manifest.max_happenings,
-        rng=rng,
         injection_schedule=schedule,
     )
     traces = []
@@ -341,8 +343,6 @@ def _injection(text: str) -> tuple[int, Term]:
         index = int(head)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad step number {head!r}") from None
-    if index < 0:
-        raise argparse.ArgumentTypeError("step number must not be negative")
     try:
         event = parse_term(rest)
     except ParseError as err:

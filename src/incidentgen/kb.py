@@ -210,10 +210,7 @@ class KnowledgeBase:
         return {}
 
     @cached_property
-    def _first_plans(self) -> dict:
-        # the best plan for ``goal`` from ``init`` per PlannerConfig, kept
-        # by the simulator. It holds the config in use only, so at most
-        # one plan: a run plans under one config
+    def _plans(self) -> dict:  # the simulator's best plans per query
         return {}
 
     def rooted(self, sig: Optional[tuple[str, int]]) -> Rooted:

@@ -78,9 +78,7 @@ def render_event(
             event,
             f"{event_def.kind} {event_def.name}/{event_def.arity} has no text template",
         )
-    values: dict[str, str] = {}
-    for var, value in head_subst.items():
-        values[var.name] = format_term(value)
+    values = {var.name: format_term(value) for var, value in head_subst.items()}
     if bindings is not None:
         for var, value in bindings.items():
             values.setdefault(var.name, format_term(value))
@@ -101,9 +99,7 @@ def render_story(trace: Trace, kb: KnowledgeBase, style: str = "plain") -> str:
     lines = [render_event(step.event, kb, step.bindings, step.kind) for step in trace.steps]
     if style == "storybook":
         lines = ["Once upon a time..."] + ["       " + line for line in lines]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def explain(trace: Trace, step_index: int) -> Explanation:

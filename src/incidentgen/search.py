@@ -193,5 +193,4 @@ def adversarial_story(
         goal_history=(GoalEntry(0, hero_goal, "initial"),),
         replans=(),
         initial_situation=kb.init,
-        rng_after=None,
     )

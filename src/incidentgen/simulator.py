@@ -7,10 +7,10 @@ happening is chosen. After a happening the goal is reassessed against
 the revision rules and a fresh best plan replaces the remainder of the
 old one. Everything that occurs is recorded in a Trace.
 
-Every incident of a knowledge base starts with the same query, its goal
-from its initial situation, so the knowledge base keeps that one best
-plan for the planner config in use, for as long as it lives. Replans
-differ from story to story and are worked out each time.
+A best plan is a pure function of its goal, situation and planner
+config, and the stories of a run ask the same few of them over and
+over, so the knowledge base keeps every plan the simulator asks for,
+first plans and replans alike, for as long as it lives.
 
 Randomness is threaded functionally (see :mod:`incidentgen.rng`), so a
 given configuration always reproduces the same trace. Every question
@@ -182,6 +182,24 @@ def apply_event(
     )
 
 
+# a knowledge base keeps at most this many plans. story_batch asks 16
+# distinct queries per run, generate --seed 7 --count 200 --prob 0.6
+# --max-happenings 3 asks 22; at 6.6-7.6 KB an aviation entry (each step
+# keeps its solution), a full table holds about 2 MiB
+_PLANS_MAX = 256
+
+
+def _best_plan(goal: Term, sitn: Situation, kb: KnowledgeBase, cfg: PlannerConfig) -> ScoredPlan:
+    # a query that finds no plan is not kept: it ends the run
+    key = goal, frozenset(sitn), cfg
+    scored = kb._plans.get(key)
+    if scored is None:
+        scored = make_best_plan(goal, sitn, kb, cfg)
+        if len(kb._plans) < _PLANS_MAX:
+            kb._plans[key] = scored
+    return scored
+
+
 def execute_plan(
     plan: ScoredPlan,
     sitn: Situation,
@@ -212,13 +230,12 @@ def execute_plan(
     steps: list[TraceStep] = []
     goal_history = [GoalEntry(0, goal, "initial")]
     replans: list[Replan] = []
-    fired: set[int] = set()
 
     while queue:
         index = len(steps)
         happening: Optional[Term] = None
         if budget > 0:
-            scheduled = schedule.get(index)
+            scheduled = schedule.pop(index, None)
             if scheduled is not None:
                 candidates = [
                     h
@@ -231,7 +248,6 @@ def execute_plan(
                         f"applicable at step {index}"
                     )
                 happening = candidates[0]
-                fired.add(index)
             else:
                 drawn, rng = maybe(cfg.happening_prob, rng)
                 if drawn and budget > sum(i > index for i in schedule):
@@ -244,14 +260,11 @@ def execute_plan(
             steps.append(step)
             sitn = step.post_situation
             budget -= 1
-            new_goal, trigger = revise_goal(sitn, current_goal, kb)
+            current_goal, trigger = revise_goal(sitn, current_goal, kb)
             if trigger is not None:
-                current_goal = new_goal
-                goal_history.append(
-                    GoalEntry(len(steps), current_goal, "revised", trigger)
-                )
+                goal_history.append(GoalEntry(len(steps), current_goal, "revised", trigger))
             try:
-                scored = make_best_plan(current_goal, sitn, kb, cfg.planner)
+                scored = _best_plan(current_goal, sitn, kb, cfg.planner)
             except NoPlanFoundError as err:
                 raise NoPlanFoundError(
                     current_goal,
@@ -269,7 +282,7 @@ def execute_plan(
         steps.append(step)
         sitn = step.post_situation
 
-    unfired = sorted(set(schedule) - fired)
+    unfired = sorted(schedule)
     if unfired:
         raise InvalidInjectionError(
             f"injection schedule entries never fired at steps "
@@ -289,15 +302,10 @@ def generate_incident(kb: KnowledgeBase, cfg: Optional[SimConfig] = None) -> Tra
     and simulate the execution.
 
     That first plan is the same for every incident, so the knowledge
-    base keeps it, keyed by planner config, and only for the config last
-    used; a query that finds no plan is not kept. Replans are not kept.
+    base keeps it, as it keeps the replans (see ``_best_plan``).
     """
     if kb.goal is None:
         raise ValueError("knowledge base declares no goal")
     cfg = cfg or SimConfig()
-    scored = kb._first_plans.get(cfg.planner)
-    if scored is None:
-        scored = make_best_plan(kb.goal, kb.init, kb, cfg.planner)
-        kb._first_plans.clear()
-        kb._first_plans[cfg.planner] = scored
+    scored = _best_plan(kb.goal, kb.init, kb, cfg.planner)
     return execute_plan(scored, kb.init, kb.goal, cfg, kb)

@@ -234,6 +234,12 @@ def test_needless_evacuation_exists_but_loses(kb, boarded):
             id="generate",
         ),
         pytest.param(
+            ("generate", "--seed", "7", "--count", "200", "--prob", "0.6", "--max-happenings", "3"),
+            199,
+            "3e45723f92106ed3bc2f64e0b73564f0d4dc64069b7e1f14c92bb94cbb6acb46",
+            id="replans",
+        ),
+        pytest.param(
             ("forward", "--adversary", str(data_path("saboteur.kb")), "--depth", "24"),
             0,
             "b2e197281b4612223175d76bd91b0158ecc8be5fdf7f0b68c4d44473521cd723",

@@ -728,6 +728,32 @@ def _replay_negative_step(tmp_path):
     )
 
 
+def _replay_repeated_step(tmp_path):
+    path = _manifest_file(
+        tmp_path, "twice.json", injection_schedule=[[2, "fire(engine)"], [2, "fire(engine)"]]
+    )
+    return ["generate", "--replay", str(path)], (
+        "error: malformed manifest: duplicate injection index 2\n"
+    )
+
+
+def _generate_negative_step(tmp_path):
+    return ["generate", "--inject=-1:ill_passenger"], "error: step number must not be negative\n"
+
+
+def _generate_repeated_step(tmp_path):
+    return ["generate", "--inject", "2:fire(engine)", "--inject", "2:fire(engine)"], (
+        "error: duplicate injection index 2\n"
+    )
+
+
+def _explain_repeated_step(tmp_path):
+    # the steps need not name the same happening to clash
+    return [
+        "explain", "--step", "1", "--inject", "3:ill_passenger", "--inject", "3:fire(engine)"
+    ], "error: duplicate injection index 3\n"
+
+
 def _replay_unknown_mode(tmp_path):
     path = _manifest_file(tmp_path, "banana.json", mode="banana")
     return ["generate", "--replay", str(path)], (
@@ -840,6 +866,10 @@ def _forward_kb_without_goal(tmp_path):
         _replay_fractional_step,
         _replay_table_with_seed,
         _replay_negative_step,
+        _replay_repeated_step,
+        _generate_negative_step,
+        _generate_repeated_step,
+        _explain_repeated_step,
         _replay_unknown_mode,
         _replay_explain_command,
         _replay_null_kb_path,

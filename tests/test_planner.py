@@ -549,7 +549,7 @@ def test_planner_renames_only_clauses_that_can_match(kb, monkeypatch, work, expe
 
                 monkeypatch.setattr(module, name, counted)
     # a fresh copy: the session's knowledge base may already keep the
-    # story's first plan from an earlier test
+    # plans that earlier tests' stories asked for
     work(replace(kb))
     assert counts == expected
 

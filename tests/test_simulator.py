@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from incidentgen import (
@@ -22,6 +22,7 @@ from incidentgen import (
     applicable_happenings,
     apply_event,
     execute_plan,
+    enumerate_plans,
     explain,
     format_explanation,
     generate_incident,
@@ -29,6 +30,7 @@ from incidentgen import (
     make_best_plan,
     parse_kb,
     parse_term,
+    plan_distance,
     render_story,
     revise_goal,
 )
@@ -302,21 +304,19 @@ def test_every_trace_ends_with_its_active_goal_satisfied(kb):
         rng = trace.rng_after
 
 
-def test_unresolvable_revision_raises():
-    collapse = parse_kb(
-        """
+COLLAPSE_KB = """
 action go { pre: at(start); del: at(start); add: at(finish); text: "Went."; }
 happening collapse { pre: at(start); add: rubble; }
 revise at(finish) when rubble => rescued.
 init { at(start); }
 goal at(finish).
 """
-    )
+COLLAPSE = SimConfig(happening_prob=0.0, injection_schedule=inject((0, "collapse")))
+
+
+def test_unresolvable_revision_raises():
     with pytest.raises(NoPlanFoundError, match="unresolvable incident"):
-        generate_incident(
-            collapse,
-            SimConfig(happening_prob=0.0, injection_schedule=inject((0, "collapse"))),
-        )
+        generate_incident(parse_kb(COLLAPSE_KB), COLLAPSE)
 
 
 def test_execute_plan_checks_preconditions(kb):
@@ -334,24 +334,34 @@ def test_config_rejects_bad_parameters():
         SimConfig(max_happenings=-1)
 
 
-# ------------------------------------------------------------ first plan
+# ------------------------------------------------------------ kept plans
+
+
+def _queries(trace):
+    # the (goal, situation) of each replan: the goal in force once the
+    # happening before it struck, and the situation it left
+    for replan in trace.replans:
+        goal = [e.goal for e in trace.goal_history if e.step_index <= replan.step_index][-1]
+        yield goal, trace.steps[replan.step_index - 1].post_situation
 
 
 def test_a_run_plans_the_knowledge_base_goal_once(kb, monkeypatch):
+    # and every other query once: one planner call per distinct question
     calls = Counter()
 
     def counted(goal, sitn, on, cfg=None, _call=simulator.make_best_plan):
-        calls[goal == kb.goal and sitn == kb.init] += 1
+        calls[goal, sitn] += 1
         return _call(goal, sitn, on, cfg)
 
     monkeypatch.setattr(simulator, "make_best_plan", counted)
-    fresh, rng, replans = replace(kb), RngState.seeded(42), 0
+    fresh, rng, replans = replace(kb), RngState.seeded(42), []
     for _ in range(100):
         trace = generate_incident(fresh, SimConfig(rng=rng))
-        replans += len(trace.replans)
+        replans += _queries(trace)
         rng = trace.rng_after
-    assert replans > 0
-    assert calls == {True: 1, False: replans}
+    asked = {(kb.goal, kb.init), *replans}
+    assert (len(asked), len(replans)) == (15, 93)
+    assert calls == Counter(asked)
 
 
 _CONFIGS = (
@@ -377,7 +387,9 @@ def _stories(kb, cfg, count=3):
     return told
 
 
+# a drawn prob above 0 makes replans, and the explicit example always does
 @settings(max_examples=30)
+@example(7, 0.7, 2, PlannerConfig(), [])
 @given(
     st.integers(0, 2**31 - 1),
     st.sampled_from([0.0, 0.3, 0.7]),
@@ -401,14 +413,55 @@ def test_a_warmed_knowledge_base_tells_the_stories_a_fresh_one_does(
 
 
 def test_a_kept_first_plan_serves_only_its_own_config(kb):
+    # each config keeps its own plans, first plans and replans alike
+    standard = SimConfig(happening_prob=0.6, max_happenings=3, rng=RngState.seeded(7))
+    constant = replace(standard, planner=PlannerConfig(scorer="constant"))
     warm = replace(kb)
-    generate_incident(warm, SimConfig(happening_prob=0.0))
+    _stories(warm, standard, 20)
     with pytest.raises(NoPlanFoundError):
-        generate_incident(
-            warm, SimConfig(happening_prob=0.0, planner=PlannerConfig(max_plan_length=3))
-        )
-    constant = SimConfig(happening_prob=0.0, planner=PlannerConfig(scorer="constant"))
-    assert generate_incident(warm, constant) == generate_incident(replace(kb), constant)
-    assert warm._first_plans == {
-        constant.planner: make_best_plan(kb.goal, kb.init, kb, constant.planner)
-    }
+        generate_incident(warm, replace(standard, planner=PlannerConfig(max_plan_length=3)))
+    assert _stories(warm, constant, 20) == _stories(replace(kb), constant, 20)
+    kept = {}
+    for (goal, sitn, cfg), scored in warm._plans.items():
+        assert scored == make_best_plan(goal, sitn, replace(kb), cfg)
+        kept.setdefault(cfg, set()).add((goal, sitn))
+    assert set(kept) == {standard.planner, constant.planner}
+    for cfg in (standard, constant):
+        alone = replace(kb)
+        _stories(alone, cfg, 20)
+        assert len(alone._plans) > 1
+        assert kept[cfg.planner] == {(goal, sitn) for goal, sitn, _ in alone._plans}
+
+
+def test_a_full_plan_table_changes_no_story(kb, monkeypatch):
+    cfg = SimConfig(happening_prob=0.6, max_happenings=3, rng=RngState.seeded(7))
+    told = _stories(replace(kb), cfg, 40)
+    monkeypatch.setattr(simulator, "_PLANS_MAX", 1)
+    small = replace(kb)
+    assert _stories(small, cfg, 40) == told
+    assert list(small._plans) == [(kb.goal, kb.init, cfg.planner)]
+
+
+def test_the_planner_neither_reads_nor_fills_the_plan_table(kb):
+    # only the simulator keeps plans: a caller that asks the planner the
+    # same question again gets it worked out again
+    fresh = replace(kb)
+    best = make_best_plan(kb.goal, kb.init, fresh)
+    fresh._plans[kb.goal, kb.init, PlannerConfig()] = ScoredPlan(Plan(()), 100)
+    assert make_best_plan(kb.goal, kb.init, fresh) == best
+    assert enumerate_plans(kb.goal, kb.init, fresh, PlannerConfig(max_plan_length=8))
+    assert plan_distance(kb.init, kb.goal, fresh) == -len(best.plan)
+    assert len(fresh._plans) == 1
+
+
+def test_an_unresolvable_replan_fails_alike_on_a_warm_knowledge_base():
+    warm = parse_kb(COLLAPSE_KB)
+    generate_incident(warm, SimConfig(happening_prob=0.0))
+    failures = []
+    for collapse in (warm, warm, parse_kb(COLLAPSE_KB)):
+        with pytest.raises(NoPlanFoundError) as err:
+            generate_incident(collapse, COLLAPSE)
+        failures.append(str(err.value))
+    assert failures == [failures[0]] * 3
+    assert "unresolvable incident" in failures[0]
+    assert len(warm._plans) == 1  # the failed replan is not kept
