@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .dsl import Diagnostic, ParseError, parse_kb_with_diagnostics, parse_term, validate_kb
-from .grammar import _expansions_and_dead_ends, expand, load_grammar
 from .kb import KnowledgeBase, aviation_kb_path, data_path
 from .narrate import STYLES, explain, format_explanation, render_event, render_story
 from .planner import (
@@ -38,7 +37,6 @@ from .planner import (
     plan_quality,
 )
 from .rng import RngState
-from .search import SearchConfig, adversarial_story, forward_search
 from .simulator import SimConfig, generate_incident
 from .terms import IncidentgenError, Term, format_term, term_key
 
@@ -289,6 +287,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_grammar(args) -> int:
+    # imported here, as search is in cmd_forward: the other commands never load it
+    from .grammar import _expansions_and_dead_ends, expand, load_grammar
+
     grammar = load_grammar(args.file)
     symbol = parse_term(args.symbol)
     if args.enumerate:
@@ -305,6 +306,8 @@ def cmd_grammar(args) -> int:
 
 
 def cmd_forward(args) -> int:
+    from .search import SearchConfig, adversarial_story, forward_search
+
     kb = _load_checked(args.kb)
     goal = parse_term(args.goal) if args.goal else kb.goal
     cfg = SearchConfig(max_depth=args.depth)

@@ -37,7 +37,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .kb import (
     DerivationRule,
@@ -105,8 +105,7 @@ class ParseError(IncidentgenError):
         return str(self)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, VAR, STRING, PUNCT, EOF
     value: str
     pos: SourcePos

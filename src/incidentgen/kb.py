@@ -9,7 +9,6 @@ immutable; the DSL parser in :mod:`incidentgen.dsl` builds them.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -278,6 +277,8 @@ def fresh_revision(rule: RevisionRule, names: FreshNames) -> RevisionRule:
 
 def data_path(name: str) -> Path:
     """Path of a bundled data file (knowledge bases, grammars)."""
+    import importlib.resources  # here, not at the top: most imports never need it
+
     return Path(str(importlib.resources.files(__package__) / "data" / name))
 
 

@@ -54,6 +54,7 @@ as a justification chain.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,6 +99,17 @@ class MissingDeleteFactError(IncidentgenError):
     def __init__(self, fact: Term):
         self.fact = fact
         super().__init__(f"cannot delete absent fact {format_term(fact)}")
+
+
+class PlanTooDeepError(IncidentgenError):
+    """The plan search recursed past Python's recursion limit."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        super().__init__(
+            f"a plan of up to {bound} steps needs more than Python's "
+            f"{sys.getrecursionlimit()} stack frames"
+        )
 
 
 class UnknownScorerError(IncidentgenError, ValueError):
@@ -540,12 +552,14 @@ def apply_effects(
 # ----------------------------------------------------------------- planning
 
 
-@dataclass
 class _Search:
     """Per-search state: the length bound and the fresh names."""
 
-    bound: int
-    names: FreshNames
+    __slots__ = ("bound", "names")
+
+    def __init__(self, bound: int, names: FreshNames):
+        self.bound = bound
+        self.names = names
 
 
 class _Rec(NamedTuple):
@@ -682,6 +696,19 @@ def _plan_seq(
             yield recs1 + recs2, index2, subst2
 
 
+def _too_deep(err: RecursionError, bound: int) -> Exception:
+    # the search nests about three frames per plan step. When those fill
+    # most of the traceback, the plan is too long; otherwise a deeply
+    # nested term overflowed, and that stays bad input
+    depth = searching = 0
+    tb = err.__traceback__
+    while tb is not None:
+        depth += 1
+        searching += tb.tb_frame.f_code in (_plan.__code__, _plan_seq.__code__)
+        tb = tb.tb_next
+    return PlanTooDeepError(bound) if 2 * searching > depth else err
+
+
 def _finalize(recs: tuple[_Rec, ...], subst: Substitution) -> Plan:
     # steps by record identity; consumers sit after their precondition
     # steps, so walking the list backwards always finds the parent built
@@ -704,11 +731,14 @@ def _plans(
     index, names = _scope(sitn, goal)
     search = _Search(cfg.max_plan_length, names)
     plans: dict[tuple, Plan] = {}
-    for recs, _, subst in _plan(goal, index, _NO_GOALS, Substitution(), 0, kb, search, None):
-        plan = _finalize(recs, subst)
-        plans.setdefault(plan_sort_key(plan), plan)
-        if shrink:
-            search.bound = len(plan)
+    try:
+        for recs, _, subst in _plan(goal, index, _NO_GOALS, Substitution(), 0, kb, search, None):
+            plan = _finalize(recs, subst)
+            plans.setdefault(plan_sort_key(plan), plan)
+            if shrink:
+                search.bound = len(plan)
+    except RecursionError as err:
+        raise _too_deep(err, cfg.max_plan_length) from None
     return list(plans.values())
 
 

@@ -9,6 +9,7 @@ with ``isinstance`` and copying a clause term by term.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from incidentgen import (
@@ -121,6 +122,13 @@ def _same_root(a: Term, b: Term) -> bool:
     return ka[:-1] == kb_[:-1] if ka[0] == 2 == kb_[0] else ka == kb_
 
 
+@lru_cache(maxsize=256)
+def _in_order(sitn: Situation) -> tuple[Term, ...]:
+    # a situation's facts in term order, sorted once: _holds reads them on
+    # every goal, and a replay meets each situation many times
+    return tuple(sorted(sitn, key=term_key))
+
+
 def _holds(
     goal: Term,
     sitn: Situation,
@@ -129,7 +137,7 @@ def _holds(
     names: FreshNames,
     depth: int = _RULE_DEPTH,
 ) -> Iterator[Substitution]:
-    for fact in sorted(sitn, key=term_key):
+    for fact in _in_order(sitn):
         s = unify(goal, fact, subst)
         if s is not None:
             yield s
@@ -402,6 +410,9 @@ def replay(
     for action in plan_actions:
         matched = None
         for event in kb.actions:
+            # as in _same_root's docstring: a clashing root never unifies
+            if not _same_root(event.head, action):
+                continue
             fresh = fresh_event(event, names)
             s = unify(fresh.head, action)
             if s is not None:

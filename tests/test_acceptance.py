@@ -279,6 +279,37 @@ def test_table_mode_opening_draws():
 # ------------------------------------- 5. planner vs. reference oracle
 
 
+@pytest.mark.parametrize(
+    "actions, message",
+    [
+        (tuple(map(format_term, NOMINAL)), None),
+        (("fly(airplane1)",), "no action definition matches fly(airplane1)"),
+        (("load(passengers1)",), "no action definition matches load(passengers1)"),
+        (
+            ("load(passengers1, airplane1)", "take_off(airplane1, seattle)"),
+            "preconditions of take_off(airplane1, seattle) unsatisfied",
+        ),
+        (("load(passengers1, airplane1)",), "final situation does not satisfy the goal"),
+        ((), "final situation does not satisfy the goal"),
+    ],
+)
+def test_the_replay_oracle_names_what_breaks_a_plan(kb, actions, message):
+    plan = tuple(parse_term(a) for a in actions)
+    assert replay(plan, kb.init, kb.goal, kb) == message
+
+
+def test_the_replay_oracle_rejects_deleting_an_absent_fact():
+    dropper = parse_kb(
+        'action drop(X) { pre: holding; del: item(X); add: dropped; text: "Dropped {X}."; }\n'
+        "init { holding; item(a); } goal dropped."
+    )
+    drop = (parse_term("drop(a)"),)
+    assert replay(drop, dropper.init, dropper.goal, dropper) is None
+    assert replay(drop, dropper.init - {parse_term("item(a)")}, dropper.goal, dropper) == (
+        "delete list of drop(a) names an absent fact"
+    )
+
+
 def test_thousand_random_instances_match_the_oracle(kb):
     for sitn, goal in random_instances(1000):
         plans = enumerate_plans(goal, sitn, kb, PlannerConfig(max_plan_length=8))

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
 import incidentgen
-from incidentgen import IncidentgenError, __version__
+from incidentgen import IncidentgenError, __version__, load_aviation, parse_term, serialize_kb
 from incidentgen.cli import SEPARATOR, main
 from incidentgen.kb import aviation_kb_path, data_path
 
@@ -623,6 +625,30 @@ def test_deeply_nested_term_is_bad_input(run, argv, depth):
     code, out, err = run(*(arg.format(term) for arg in argv))
     assert code == 2 and out == ""
     assert err == "error: input is nested too deeply\n"
+
+
+def test_a_plan_too_long_for_the_recursion_limit_is_a_runtime_failure(run, tmp_path):
+    # a valid 340-leg chain: the planner, not the input, runs out of frames
+    names = [f"c{n}" for n in range(341)]
+    chain = {parse_term(f"flight_path({a}, {b})") for a, b in zip(names, names[1:])}
+    kb = replace(
+        load_aviation(),
+        init=frozenset(chain) | {
+            parse_term("airplane(airplane1)"),
+            parse_term("passengers(passengers1)"),
+            parse_term("plocation(passengers1, gate(c0))"),
+            parse_term("alocation(airplane1, gate(c0))"),
+        },
+        goal=parse_term("plocation(passengers1, gate(c340))"),
+    )
+    path = tmp_path / "chain.kb"
+    path.write_text(serialize_kb(kb))
+    assert run("plan", "--kb", str(path), "--max-length", "346") == (
+        1,
+        "",
+        f"error: a plan of up to 346 steps needs more than Python's "
+        f"{sys.getrecursionlimit()} stack frames\n",
+    )
 
 
 def _manifest_file(tmp_path, name, **changes):

@@ -324,6 +324,17 @@ def test_a_forty_leg_chain_plans_like_the_reference():
     assert best.plan.actions == route
 
 
+def test_a_term_nested_too_deeply_stays_a_recursion_error(kb):
+    # the overflow happens inside the plan search, in the occurs check, but
+    # the term is at fault, not the plan's length: the command line's exit 2
+    term = parse_term("x")
+    for _ in range(600):
+        term = Compound("f", (term,))
+    goal = Compound("plocation", (parse_term("passengers1"), Compound("gate", (term,))))
+    with pytest.raises(RecursionError):
+        make_best_plan(goal, kb.init, kb)
+
+
 def test_each_way_of_matching_a_delete_is_its_own_plan():
     dropper = parse_kb(
         """
