@@ -22,6 +22,7 @@ from .terms import (
     Substitution,
     Term,
     _may_unify,
+    _strict_tuple,
     format_term,
     signature,
     unify,
@@ -40,13 +41,13 @@ class UnknownEventError(IncidentgenError):
         super().__init__(message or f"no event definition matches {format_term(event)}")
 
 
-@dataclass(frozen=True)
-class Literal:
+@_strict_tuple
+class Literal(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Slot:
+@_strict_tuple
+class Slot(NamedTuple):
     var: str
 
 

@@ -351,7 +351,7 @@ def _satisfied_iter(
         extended = unify(goal, fact, subst)
         if extended is not None:
             yield extended
-    if depth <= 0:
+    if depth <= 0 or not kb.rooted(signature(seen)).rules:
         return
     for fresh in _renamed_rules(seen, kb, subst, names):
         extended = unify(goal, fresh.head, subst)
@@ -530,6 +530,8 @@ def _achieves_iter(
         extended = unify(goal, add, subst)
         if extended is not None:
             yield extended
+    if live == ():  # the caller's screen found no rule rooted at the goal
+        return
     for fresh in _renamed_rules(subst.walk(goal), kb, subst, names, live):
         extended = unify(goal, fresh.head, subst)
         if extended is not None:

@@ -6,10 +6,14 @@ planning, simulation) manipulates these values, so determinism starts
 here: ``term_key`` defines one total order used whenever a set of terms
 or plans must be traversed in a reproducible sequence, and each query
 renames clauses apart in a ``FreshNames`` scope of its own, so no query
-depends on how many names an earlier one took. A clause is renamed by a
-``CompiledClause``, built once per clause, and the hot functions
-(``unify``, ``substitute``, ``Substitution.walk``) dispatch on a term's
-exact class, so the three term classes are not meant to be subclassed.
+depends on how many names an earlier one took; the names themselves come
+from one table that every scope shares. A clause is renamed by a
+``CompiledClause``, built once per clause, which builds each distinct
+subterm once. The hot functions (``unify``, ``substitute``,
+``Substitution.walk``) dispatch on a term's exact class, so the three
+term classes are not meant to be subclassed. ``Variable`` is a one-field
+tuple, so it hashes in C, with an equality of its own: a variable equals
+only a variable, never an atom or a plain tuple.
 
 ``IncidentgenError``, the base of every error the package raises on
 purpose, lives here too: this is the lowest module, the one every
@@ -21,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 class IncidentgenError(Exception):
@@ -39,8 +43,17 @@ class IncidentgenError(Exception):
         return f"error: {self}"
 
 
-@dataclass(frozen=True)
-class Variable:
+def _strict_tuple(cls):
+    """A ``NamedTuple`` class that hashes as a tuple does, in C, but whose
+    values equal only values of that exact class."""
+    cls.__hash__ = tuple.__hash__
+    cls.__eq__ = lambda self, other: type(other) is cls and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: type(other) is not cls or tuple.__ne__(self, other)
+    return cls
+
+
+@_strict_tuple
+class Variable(NamedTuple):
     name: str
 
     def __repr__(self) -> str:
@@ -282,6 +295,12 @@ def fresh_floor(terms: Iterable[Term]) -> int:
     return max((int(n) for n in found if n.isdecimal()), default=0)
 
 
+# ``_NAMES[n]`` is ``_G<n>``, up to the highest name any query has taken:
+# names only, never an answer. A name from ``_NAMES_MAX`` on is built anew
+_NAMES: list[Variable] = []
+_NAMES_MAX = 1 << 14
+
+
 class FreshNames:
     """One query's supply of fresh variable names, ``_G<n>``.
 
@@ -302,8 +321,12 @@ class FreshNames:
     def take(self, count: int) -> list[Variable]:
         """The next ``count`` names, as variables."""
         first = self._next
-        self._next = first + count
-        return [Variable(f"_G{n}") for n in range(first, first + count)]
+        end = self._next = first + count
+        if end > _NAMES_MAX:
+            return [Variable(f"_G{n}") for n in range(first, end)]
+        if end > len(_NAMES):
+            _NAMES.extend(Variable(f"_G{n}") for n in range(len(_NAMES), end))
+        return _NAMES[first:end]
 
     def rename(self, *groups: Iterable[Term]) -> list[tuple[Term, ...]]:
         """Copy groups of terms with every variable renamed to a new name.
@@ -327,7 +350,9 @@ class CompiledClause:
     a fixed program rather than by walking the terms: the registers hold
     the fresh variables (numbered in first-occurrence order, as
     ``FreshNames.rename`` numbers them), then the ground subterms, which
-    every copy shares, then each compound still to build, in post-order.
+    every copy shares, then each distinct compound still to build, in
+    post-order. Equal subterms are one register, so a precondition that
+    is also a delete is built once, and both are the same object.
     """
 
     __slots__ = ("groups", "width", "_constants", "_code", "_outputs")
@@ -336,7 +361,6 @@ class CompiledClause:
         self.groups = tuple(tuple(group) for group in groups)
         slots: dict[Term, int] = {}
         constants: list[Term] = []
-        built: set[int] = set()  # ids of the compounds that hold a variable
 
         def scan(term: Term) -> bool:
             # number the variables and collect the largest ground
@@ -349,7 +373,6 @@ class CompiledClause:
             held = [scan(arg) for arg in term.args]
             if not any(held):
                 return False
-            built.add(id(term))
             constants.extend(arg for arg, var in zip(term.args, held) if not var)
             return True
 
@@ -362,10 +385,13 @@ class CompiledClause:
         code: list[tuple[str, object]] = []
 
         def slot(term: Term) -> int:
-            if id(term) not in built:
-                return slots[term]
-            code.append((term.functor, _gather([slot(arg) for arg in term.args])))
-            return len(slots) + len(code) - 1
+            # a variable, a ground subterm or a compound already built
+            # has its register; any other compound is built here, once
+            found = slots.get(term)
+            if found is None:
+                code.append((term.functor, _gather([slot(arg) for arg in term.args])))
+                found = slots[term] = len(slots)
+            return found
 
         self._outputs = [_gather([slot(term) for term in group]) for group in self.groups]
         self._code = tuple(code)

@@ -1,6 +1,7 @@
 """Definition-language parsing, validation, and serialization."""
 
 import pickle
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from incidentgen import (
     serialize_kb,
     validate_kb,
 )
-from incidentgen.kb import aviation_kb_path, data_path
+from incidentgen.kb import Literal, Slot, aviation_kb_path, data_path
 
 
 def test_aviation_inventory(kb):
@@ -211,6 +212,26 @@ def test_template_parsing():
     assert t.render({"Who": "x", "Where": "y"}) == "x went to y."
     with pytest.raises(ValueError):
         TextTemplate.parse("oops {")
+
+
+def test_template_segments_equal_only_their_own_kind():
+    assert TextTemplate.parse("to {Where}").segments == (Literal("to "), Slot("Where"))
+    assert Literal("x") != Slot("x") and not Literal("x") == Slot("x")
+    assert Literal("x") != ("x",) and ("x",) != Slot("x")
+    assert hash(Literal("x")) == hash(Literal("x"))
+    assert repr(Slot("x")) == "Slot(var='x')"
+
+
+@pytest.mark.parametrize("name", ["aviation.kb", "saboteur.kb"])
+def test_every_bundled_template_renders_its_text_with_each_slot_filled(name):
+    # the reference: the raw text with each {Var} replaced by its value
+    kb = load_kb(data_path(name), require_init_goal=False)
+    templates = [e.template for e in kb.events if e.template is not None]
+    assert templates
+    for template in templates:
+        values = {var: f"<{var.lower()}>" for var in template.slot_names()}
+        expected = re.sub(r"\{\s*(\w+)\s*\}", lambda m: values[m[1]], template.raw)
+        assert template.render(values) == expected
 
 
 def test_bundled_data_paths():

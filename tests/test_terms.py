@@ -1,5 +1,10 @@
 """Term layer: unification, substitution, ordering, renaming."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -22,13 +27,16 @@ from incidentgen import (
     fresh_rule,
     ground,
     load_kb,
+    make_best_plan,
     occurs_in,
+    parse_kb,
     parse_term,
     substitute,
     term_key,
     unify,
     variables,
 )
+from incidentgen import terms as terms_module
 from incidentgen.terms import _may_unify
 
 atoms = st.sampled_from("a b c dallas engine".split()).map(Atom)
@@ -53,6 +61,58 @@ def substitutions(draw):
         if var not in bindings and not oracles.occurs(var, value, bindings):
             bindings[var] = value
     return bindings
+
+
+# ------------------------------------------------------------ term values
+
+
+def test_a_variable_equals_only_a_variable():
+    x = Variable("X")
+    assert x == Variable("X") and not x != Variable("X")
+    assert x != Variable("Y")
+    for other in (Atom("X"), ("X",), "X"):
+        assert x != other and other != x
+        assert not x == other and not other == x
+    assert x not in {Atom("X"), ("X",)} and ("X",) not in {x}
+
+
+def test_equal_variables_hash_equal():
+    assert hash(Variable("X")) == hash(Variable("X"))
+    assert {Variable("X"): 1}[Variable("X")] == 1
+
+
+def test_a_variable_is_read_only():
+    x = Variable("X")
+    with pytest.raises(AttributeError):
+        x.name = "Y"
+    assert x.name == "X"
+
+
+def test_term_reprs():
+    assert repr(Variable("X")) == "Variable('X')"
+    assert repr(parse_term("f(X, a)")) == "Compound('f', (Variable('X'), Atom('a')))"
+
+
+def test_a_pickled_term_round_trips_under_another_hash_seed():
+    # strings hash with another seed in the other interpreter, so each
+    # variable there must hash as that interpreter's own
+    term = parse_term("alocation(Plane, near(City))")
+    bindings = {Variable("Plane"): Atom("airplane1"), Variable("City"): Atom("dallas")}
+    script = (
+        "import pickle, sys; from incidentgen import Variable, parse_term; "
+        "term, bindings, found = pickle.loads(sys.stdin.buffer.read()); "
+        "print(term == parse_term('alocation(Plane, near(City))'), "
+        "bindings[Variable('City')], Variable('Plane') in found)"
+    )
+    other = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps((term, bindings, set(variables(term)))),
+        capture_output=True,
+        env={"PYTHONPATH": ":".join(sys.path), "PYTHONHASHSEED": other},
+        check=True,
+    )
+    assert done.stdout == b"True Atom('dallas') True\n"
 
 
 def test_unify_binds_variable():
@@ -248,6 +308,53 @@ def test_a_renamed_clause_shares_its_ground_subterms():
     assert format_term(renamed) == "f(_G1, g(a, b), h(_G1, k(c)))"
     assert renamed.args[1] is clause.args[1]
     assert renamed.args[2].args[1] is clause.args[2].args[1]
+
+
+def test_a_renamed_clause_builds_each_distinct_subterm_once(kb):
+    # cruise's precondition alocation(A, near(A1)) is also its delete
+    cruise = next(e for e in kb.actions if e.name == "cruise")
+    fresh = fresh_event(cruise, FreshNames())
+    assert format_term(fresh.dels[0]) == "alocation(_G1, near(_G2))"
+    assert fresh.pcs[1] is fresh.dels[0]
+    assert fresh.pcs[1].args[1] is not fresh.adds[0].args[1]
+    assert len(cruise.compiled._code) == 6
+
+
+def test_taken_names_are_the_callers_own_list():
+    taken = FreshNames().take(2)
+    taken.append(Atom("x"))
+    assert FreshNames().take(3) == [Variable("_G1"), Variable("_G2"), Variable("_G3")]
+
+
+def test_names_past_the_table_are_built_without_growing_it():
+    size = len(terms_module._NAMES)
+    top = terms_module._NAMES_MAX
+    assert FreshNames(top + 5).take(2) == [Variable(f"_G{top + 6}"), Variable(f"_G{top + 7}")]
+    assert FreshNames(top - 2).take(3)[-1] == Variable(f"_G{top + 1}")
+    assert len(terms_module._NAMES) == size
+
+
+def test_a_query_takes_the_same_names_from_an_empty_or_a_full_table(monkeypatch):
+    # term order breaks the tie between b and c by their _G names
+    text = (
+        'action a(X) {pre: s; add: pa; text: "a";}'
+        'action b(Y) {pre: pa; add: done; text: "b";}'
+        'action c(Y) {pre: pa; add: done; text: "c";}'
+        "init {s;} goal done."
+    )
+    answers = []
+    for filled in (0, 10_000):
+        monkeypatch.setattr(terms_module, "_NAMES", [])
+        if filled:
+            FreshNames().take(filled)
+            assert terms_module._NAMES[-1] == Variable(f"_G{filled}")
+        kb = parse_kb(text)
+        answers.append([format_term(a) for a in make_best_plan(kb.goal, kb.init, kb).plan.actions])
+        aviation = load_kb(data_path("aviation.kb"))
+        best = make_best_plan(aviation.goal, aviation.init, aviation)
+        answers.append([format_term(a) for a in best.plan.actions])
+    assert answers[:2] == answers[2:]
+    assert any(name.startswith("a(_G") for name in answers[0])
 
 
 def _clause_groups(clause):
