@@ -27,18 +27,11 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .dsl import Diagnostic, ParseError, parse_kb_with_diagnostics, parse_term, validate_kb
-from .kb import KnowledgeBase, aviation_kb_path, data_path
-from .narrate import STYLES, explain, format_explanation, render_event, render_story
-from .planner import (
-    NoPlanFoundError,
-    PlannerConfig,
-    enumerate_plans,
-    make_best_plan,
-    plan_quality,
-)
-from .rng import RngState
-from .simulator import SimConfig, generate_incident
+from .kb import STYLES, KnowledgeBase, aviation_kb_path, data_path
 from .terms import IncidentgenError, Term, format_term, term_key
+
+# a subcommand imports the modules it runs when it runs: validate loads
+# none of planner, simulator, narrate, rng, grammar and search
 
 SEPARATOR = "----------"
 
@@ -136,22 +129,27 @@ def _load_checked(path: str, require_init_goal: bool = True) -> KnowledgeBase:
 
 
 def _run_traces(kb: KnowledgeBase, manifest: RunManifest) -> list:
+    from . import simulator
+    from .rng import RngState
+
     schedule = tuple((i, parse_term(e)) for i, e in manifest.injection_schedule)
     rng = RngState.table() if manifest.seed is None else RngState.seeded(manifest.seed)
-    cfg = SimConfig(
+    cfg = simulator.SimConfig(
         happening_prob=manifest.prob,
         max_happenings=manifest.max_happenings,
         injection_schedule=schedule,
     )
     traces = []
     for _ in range(manifest.count):
-        trace = generate_incident(kb, replace(cfg, rng=rng))
+        trace = simulator.generate_incident(kb, replace(cfg, rng=rng))
         traces.append(trace)
         rng = trace.rng_after
     return traces
 
 
 def _step_json(step, kb: KnowledgeBase) -> dict:
+    from .narrate import render_event
+
     justification = None
     if step.justification is not None:
         j = step.justification
@@ -197,6 +195,8 @@ def _emit_generate(manifest: RunManifest, fmt: str) -> int:
     kb = _load_checked(manifest.kb_path)
     traces = _run_traces(kb, manifest)
     if fmt == "text":
+        from .narrate import render_story
+
         stories = [render_story(t, kb, style=manifest.style) for t in traces]
         sys.stdout.write(f"{SEPARATOR}\n".join(stories))
     else:
@@ -241,6 +241,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from .planner import NoPlanFoundError, PlannerConfig, enumerate_plans, make_best_plan
+    from .planner import plan_quality
+
     kb = _load_checked(args.kb)
     goal = parse_term(args.goal) if args.goal else kb.goal
     cfg = PlannerConfig(max_plan_length=args.max_length, scorer=args.scorer)
@@ -263,6 +266,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .narrate import explain, format_explanation
+
     manifest = _manifest_from_args(args, "explain")
     kb = _load_checked(manifest.kb_path)
     traces = _run_traces(kb, manifest)
@@ -287,8 +292,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_grammar(args) -> int:
-    # imported here, as search is in cmd_forward: the other commands never load it
     from .grammar import _expansions_and_dead_ends, expand, load_grammar
+    from .rng import RngState
 
     grammar = load_grammar(args.file)
     symbol = parse_term(args.symbol)
@@ -306,6 +311,7 @@ def cmd_grammar(args) -> int:
 
 
 def cmd_forward(args) -> int:
+    from .narrate import render_story
     from .search import SearchConfig, adversarial_story, forward_search
 
     kb = _load_checked(args.kb)

@@ -21,16 +21,21 @@ from .terms import (
     IncidentgenError,
     Substitution,
     Term,
+    Variable,
     _may_unify,
     _strict_tuple,
     format_term,
+    fresh_floor,
     signature,
     unify,
+    variables,
 )
 
 Situation = frozenset  # of ground Term facts
 
 SourcePos = tuple[int, int]  # line, column; 1-based
+
+STYLES = ("plain", "storybook")  # the styles a story is narrated in
 
 
 class UnknownEventError(IncidentgenError):
@@ -101,7 +106,10 @@ class TextTemplate:
 
 @dataclass(frozen=True)
 class EventDef:
-    """An action (planned) or happening (exogenous) definition."""
+    """An action (planned) or happening (exogenous) definition. For
+    execution it keeps, from first use, the distinct variables of its head
+    and preconditions in first-occurrence order, which a step's bindings
+    report, and its preconditions' ``_G`` floor (``fresh_floor``)."""
 
     kind: str  # "action" or "happening"
     head: Term
@@ -128,6 +136,14 @@ class EventDef:
     def fresh_width(self) -> int:
         """Fresh names ``fresh_event`` takes."""
         return self.compiled.width
+
+    @cached_property
+    def step_variables(self) -> tuple[Variable, ...]:
+        return tuple(dict.fromkeys(v for t in (self.head, *self.pcs) for v in variables(t)))
+
+    @cached_property
+    def pcs_floor(self) -> int:
+        return fresh_floor(self.pcs)
 
 
 @dataclass(frozen=True)

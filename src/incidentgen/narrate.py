@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .kb import KnowledgeBase, UnknownEventError
+from .kb import STYLES, KnowledgeBase, UnknownEventError
 from .simulator import Trace
 from .terms import IncidentgenError, Substitution, Term, format_term
-
-STYLES = ("plain", "storybook")
 
 
 class UnboundSlotError(IncidentgenError):

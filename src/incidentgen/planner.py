@@ -331,11 +331,11 @@ def _indexed(sitn: Situation) -> tuple[_Index, int]:
     return _Index.of(sitn), fresh_floor(sitn)
 
 
-def _scope(sitn: Situation, *terms: Term) -> tuple[_Index, FreshNames]:
+def _scope(sitn: Situation, *terms: Term, floor: int = 0) -> tuple[_Index, FreshNames]:
     # one query's index of its situation, and its names, above every _G
-    # name in that situation and in its terms
-    index, floor = _indexed(frozenset(sitn))
-    return index, FreshNames(max(fresh_floor(terms), floor))
+    # name in that situation and in its terms, and above ``floor``
+    index, sitn_floor = _indexed(frozenset(sitn))
+    return index, FreshNames(max(fresh_floor(terms), sitn_floor, floor))
 
 
 def _satisfied_iter(
@@ -440,21 +440,24 @@ def first_application(
     kb: KnowledgeBase,
     subst: Substitution,
     planned: Optional[tuple[EventDef, Substitution]] = None,
-) -> Optional[Substitution]:
-    """The solution ``event`` applies under, extending ``subst``: the
-    first with the deletes and adds of ``planned``, a plan step's
-    solution, else the first that applies; if no solution applies, the
-    first one of the preconditions, whose deletes then fail, or None."""
+) -> Optional[tuple[Substitution, list[Term], list[Term]]]:
+    """The solution ``event`` applies under, extending ``subst``, with
+    its deletes and adds: the first with the deletes and adds of
+    ``planned``, a plan step's solution, else the first that applies; if
+    no solution applies, the first one of the preconditions, whose
+    deletes then fail, or None."""
     first = applies = None
-    index, names = _scope(sitn, *event.pcs, *subst, *subst.values())
+    wanted = None if planned is None else _effects(*planned)
+    index, names = _scope(sitn, *subst, *subst.values(), floor=event.pcs_floor)
     for solution in _satisfied_seq(event.pcs, index, kb, subst, names):
         for applied in _applications(event, index, sitn, solution):
-            if planned is None or _effects(event, applied) == _effects(*planned):
-                return applied
+            effects = _effects(event, applied)
+            if wanted is None or effects == wanted:
+                return applied, *effects
             if applies is None:
-                applies = applied
+                applies = applied, *effects
         if first is None:
-            first = solution
+            first = solution, *_effects(event, solution)
     return applies if applies is not None else first
 
 

@@ -12,6 +12,11 @@ config, and the stories of a run ask the same few of them over and
 over, so the knowledge base keeps every plan the simulator asks for,
 first plans and replans alike, for as long as it lives.
 
+A step runs in one pass: its definition keeps the variables its
+bindings report and its preconditions' ``_G`` floor, and a plan step's
+effects are worked out once and come back with the solution that has
+them. Nothing is kept from one step to the next.
+
 Randomness is threaded functionally (see :mod:`incidentgen.rng`), so a
 given configuration always reproduces the same trace. Every question
 about the knowledge base is asked of :mod:`incidentgen.planner`.
@@ -43,7 +48,6 @@ from .terms import (
     format_term,
     substitute,
     unify,
-    variables,
 )
 
 
@@ -152,25 +156,22 @@ def apply_event(
     Verifies the matching definition's preconditions (the solution from
     ``first_application`` binds any open variables, the one the planner
     chose if ``justification`` records it), applies its effects, and
-    returns the finished trace step.
+    returns the finished trace step, whose bindings follow the order
+    of ``EventDef.step_variables``.
     """
     match = kb.match_event(event, kind=kind)
     if match is None:
         raise UnknownEventError(event)
     event_def, head_subst = match
     planned = justification.solution if justification is not None else None
-    solution = first_application(event_def, sitn, kb, head_subst, planned)
-    if solution is None:
+    applied = first_application(event_def, sitn, kb, head_subst, planned)
+    if applied is None:
         missing = _first_missing(event_def.pcs, sitn, kb, head_subst)
         raise PreconditionViolationError(event, missing, steps)
-    dels = [substitute(d, solution) for d in event_def.dels]
-    adds = [substitute(a, solution) for a in event_def.adds]
+    solution, dels, adds = applied
     post = apply_effects(dels, adds, sitn)
-    bindings = Substitution()
-    for v in {v for t in (event_def.head, *event_def.pcs) for v in variables(t)}:
-        value = substitute(v, solution)
-        if value != v:
-            bindings = bindings.bind(v, value)
+    values = {v: substitute(v, solution) for v in event_def.step_variables}
+    bindings = Substitution({v: value for v, value in values.items() if value != v})
     return TraceStep(
         index=index,
         event=event,

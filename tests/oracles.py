@@ -20,10 +20,13 @@ from incidentgen import (
     FreshNames,
     Grammar,
     KnowledgeBase,
+    MissingDeleteFactError,
+    PreconditionViolationError,
     Situation,
     Substitution,
     Term,
     TerminalList,
+    UnknownEventError,
     Variable,
     format_term,
     fresh_event,
@@ -433,3 +436,168 @@ def replay(
     if next(_holds(goal, here, kb.rules, Substitution(), names), None) is None:
         return "final situation does not satisfy the goal"
     return None
+
+
+# ---------------------------------------------------- one executed step
+
+
+class _Names:
+    """One query's next unused ``_G`` number, taken by each rename."""
+
+    def __init__(self, floor: int) -> None:
+        self.next = floor + 1
+
+    def rename(self, *groups: Sequence[Term]) -> list[tuple[Term, ...]]:
+        copies, self.next = rename_groups(groups, self.next)
+        return copies
+
+
+def _proofs(
+    goal: Term,
+    sitn: Situation,
+    rules: Sequence[DerivationRule],
+    subst: dict,
+    names: _Names,
+    depth: int = _RULE_DEPTH,
+) -> Iterator[dict]:
+    # the facts in term order, then each rule whose head has the goal's
+    # root, renamed apart in declaration order
+    for fact in sorted(sitn, key=term_key):
+        s = unify_terms(goal, fact, subst)
+        if s is not None:
+            yield s
+    if depth <= 0:
+        return
+    goal_now = substitute_term(goal, subst)
+    for rule in rules:
+        if _same_root(goal_now, rule.head):
+            (head,), body = names.rename((rule.head,), rule.body)
+            s = unify_terms(goal, head, subst)
+            if s is not None:
+                yield from _proofs_all(body, sitn, rules, s, names, depth - 1)
+
+
+def _proofs_all(
+    goals: Sequence[Term],
+    sitn: Situation,
+    rules: Sequence[DerivationRule],
+    subst: dict,
+    names: _Names,
+    depth: int = _RULE_DEPTH,
+) -> Iterator[dict]:
+    if not goals:
+        yield subst
+        return
+    for s in _proofs(goals[0], sitn, rules, subst, names, depth):
+        yield from _proofs_all(goals[1:], sitn, rules, s, names, depth)
+
+
+def _pairings(patterns: Sequence[Term], facts: list, subst: dict) -> Iterator[dict]:
+    # each pattern unifies with a distinct fact, tried in the order given
+    if not patterns:
+        yield subst
+        return
+    for fact in facts:
+        s = unify_terms(patterns[0], fact, subst)
+        if s is not None:
+            yield from _pairings(patterns[1:], [f for f in facts if f != fact], s)
+
+
+def _floor(terms: Iterable[Term], subst: Mapping[Variable, Term], sitn: Situation) -> int:
+    return fresh_floor([*terms, *subst, *subst.values(), *sitn])
+
+
+def step_applications(
+    term: Term, kind: str, sitn: Situation, kb: KnowledgeBase
+) -> tuple[EventDef, dict, list[dict], list[dict]]:
+    """The definition an executed ``term`` of ``kind`` runs (the first
+    declared whose head unifies with it), the unifier, the solutions of
+    its preconditions in order, and the solutions it applies under in
+    order: each solution whose ground deletes are present, extended by
+    each pairing of the other deletes with distinct other facts in term
+    order. Fresh names count up from above every ``_G`` name in the
+    preconditions, the unifier and the situation."""
+    for event in kb.events:
+        head_subst = unify_terms(event.head, term, {}) if event.kind == kind else None
+        if head_subst is not None:
+            break
+    else:
+        raise UnknownEventError(term)
+    names = _Names(_floor(event.pcs, head_subst, sitn))
+    solutions = list(_proofs_all(event.pcs, sitn, kb.rules, head_subst, names))
+    applications = []
+    for s in solutions:
+        dels = [substitute_term(d, s) for d in event.dels]
+        fixed = [d for d in dels if ground(d)]
+        if all(d in sitn for d in fixed):
+            others = [f for f in sorted(sitn, key=term_key) if f not in fixed]
+            applications.extend(_pairings([d for d in dels if not ground(d)], others, s))
+    return event, head_subst, solutions, applications
+
+
+def _effects(event: EventDef, subst: Mapping[Variable, Term]) -> tuple[list, list]:
+    return (
+        [substitute_term(d, subst) for d in event.dels],
+        [substitute_term(a, subst) for a in event.adds],
+    )
+
+
+def _distinct_variables(terms: Iterable[Term]) -> list[Variable]:
+    found: list[Variable] = []
+
+    def visit(term: Term) -> None:
+        if isinstance(term, Variable) and term not in found:
+            found.append(term)
+        elif isinstance(term, Compound):
+            for arg in term.args:
+                visit(arg)
+
+    for term in terms:
+        visit(term)
+    return found
+
+
+def execute_step(
+    term: Term,
+    kind: str,
+    sitn: Situation,
+    kb: KnowledgeBase,
+    planned: Optional[tuple[EventDef, Mapping[Variable, Term]]] = None,
+) -> tuple[Situation, list[tuple[Variable, Term]]]:
+    """One executed event: the situation after it, and the bindings of
+    its definition's head and precondition variables that the solution
+    changes, in first-occurrence order; or the simulator's error.
+
+    The solution is the first application (``step_applications``) whose
+    deletes and adds equal those of ``planned``, a definition and a
+    substitution; else the first application; else the first solution of
+    the preconditions, whose deletes then fail. With no solution, the
+    message names the first precondition that a greedy scan finds
+    unsatisfied, each one asked alone in a scope of its own."""
+    event, head_subst, solutions, applications = step_applications(term, kind, sitn, kb)
+    if not solutions:
+        raise PreconditionViolationError(term, _first_missing(event.pcs, sitn, kb, head_subst))
+    wanted = [] if planned is None else [
+        s for s in applications if _effects(event, s) == _effects(*planned)
+    ]
+    chosen = (wanted or applications or solutions)[0]
+    dels, adds = _effects(event, chosen)
+    for d in dels:
+        if d not in sitn:
+            raise MissingDeleteFactError(d)
+    bindings = []
+    for var in _distinct_variables((event.head, *event.pcs)):
+        value = substitute_term(var, chosen)
+        if value != var:
+            bindings.append((var, value))
+    return (sitn - frozenset(dels)) | frozenset(adds), bindings
+
+
+def _first_missing(pcs: Sequence[Term], sitn: Situation, kb: KnowledgeBase, subst: dict) -> Term:
+    for pc in pcs:
+        names = _Names(_floor([pc], subst, sitn))
+        s = next(_proofs(pc, sitn, kb.rules, subst, names), None)
+        if s is None:
+            return substitute_term(pc, subst)
+        subst = s
+    return substitute_term(pcs[-1], subst)

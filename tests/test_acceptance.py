@@ -6,14 +6,12 @@ processes, and the planner, goal revision, and explanation layers are
 swept with randomized property suites against reference oracles.
 """
 
-import hashlib
-import json
 import os
 import random
-import subprocess
 import sys
 
 import pytest
+import pinned
 from oracles import backward_plan_set, replay
 
 from incidentgen import (
@@ -45,7 +43,6 @@ from incidentgen import (
     substitute,
     variables,
 )
-from incidentgen.cli import SEPARATOR
 from incidentgen.kb import aviation_kb_path, data_path
 
 NOMINAL = tuple(
@@ -225,68 +222,15 @@ def test_needless_evacuation_exists_but_loses(kb, boarded):
 # --------------------------------------------------- 4. reproducibility
 
 
-def _json_body(text: str) -> str:
-    # the JSON trace body as CI hashes it: the manifest, whose kb_path
-    # depends on where the package lives, is dropped
-    run = json.loads(text)
-    run.pop("manifest")
-    return json.dumps(run, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize(
-    "args, separators, digest",
-    [
-        pytest.param(
-            ("generate", "--seed", "42", "--count", "100"),
-            99,
-            "bc4ef68c75872ac6f4a1b5a687a00adfd5e622a062ee0c152fb7e434a940f8a9",
-            id="generate",
-        ),
-        pytest.param(
-            ("generate", "--seed", "42", "--count", "100", "--format", "json"),
-            0,
-            "a0ce9f1f2ce9e80331ab1acce563576676ed71b6a4e66eca7ad4514fed53f83b",
-            id="json_body",
-        ),
-        pytest.param(
-            ("forward",),
-            0,
-            "86ccaf6ae662bc8c9ff53ff13787fcea63f294fabf95014cf0c18bfd80cbecd6",
-            id="forward",
-        ),
-        pytest.param(
-            ("generate", "--seed", "7", "--count", "200", "--prob", "0.6", "--max-happenings", "3"),
-            199,
-            "3e45723f92106ed3bc2f64e0b73564f0d4dc64069b7e1f14c92bb94cbb6acb46",
-            id="replans",
-        ),
-        pytest.param(
-            ("forward", "--adversary", str(data_path("saboteur.kb")), "--depth", "24"),
-            0,
-            "b2e197281b4612223175d76bd91b0158ecc8be5fdf7f0b68c4d44473521cd723",
-            id="duel",
-        ),
-        pytest.param(
-            ("plan", "--all"),
-            0,
-            "345663e4df3d8182dfb7f9263312be099acbbde75076b6bdb3882fcc9e179af1",
-            id="plan_all",
-        ),
-    ],
-)
-def test_batches_are_bit_identical_across_processes(args, separators, digest):
+@pytest.mark.parametrize("entry", pinned.ENTRIES, ids=[e["id"] for e in pinned.ENTRIES])
+def test_batches_are_bit_identical_across_processes(entry, tmp_path):
+    # every output CI pins, from one table (tests/pinned_outputs.json)
     outputs = []
     for hashseed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hashseed)
-        run = subprocess.run(
-            [sys.executable, "-m", "incidentgen", *args], capture_output=True, text=True, env=env
-        )
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+        outputs.append(pinned.output(entry, [sys.executable, "-m", "incidentgen"], tmp_path, env))
     assert outputs[0] == outputs[1]
-    assert outputs[0].count(SEPARATOR + "\n") == separators
-    body = _json_body(outputs[0]) if "json" in args else outputs[0]
-    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    assert pinned.problems(entry, outputs[0]) == []
 
 
 def test_table_mode_opening_draws():

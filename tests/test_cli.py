@@ -915,7 +915,7 @@ def test_bad_input_exits_2_with_its_message(run, tmp_path, case):
 
 def test_a_manifest_style_is_checked_before_any_incident_runs(run, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr("incidentgen.cli.generate_incident", lambda *a: calls.append(a))
+    monkeypatch.setattr("incidentgen.simulator.generate_incident", lambda *a: calls.append(a))
     path = _manifest_file(tmp_path, "fancy.json", style="fancy", count=2000)
     code, out, _ = run("generate", "--replay", str(path))
     assert (code, out, calls) == (2, "", [])

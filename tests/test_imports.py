@@ -86,6 +86,32 @@ def test_a_subcommand_loads_its_own_module_when_it_runs(argv, module):
     assert module in loaded
 
 
+_RUN_MODULE = (
+    "import runpy, sys\n"
+    "sys.argv = ['incidentgen', *{argv!r}]\n"
+    "try:\n"
+    "    runpy.run_module('incidentgen', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as done:\n"
+    "    assert done.code == 0, done.code\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (["validate", "--kb", str(incidentgen.aviation_kb_path())], set()),
+        (["plan"], {"incidentgen.planner"}),
+    ],
+    ids=["validate", "plan"],
+)
+def test_validate_and_plan_load_only_what_they_run(argv, needed):
+    # python -m incidentgen: the simulator, the narrator and the random
+    # stream load with the subcommands that run them, and the planner too
+    loaded = set(_fresh(_RUN_MODULE.format(argv=argv) + _LOADED))
+    runners = {f"incidentgen.{m}" for m in ("planner", "simulator", "narrate", "rng")}
+    assert loaded & runners == needed
+
+
 def test_the_public_names_are_unchanged():
     assert incidentgen.__all__ == PUBLIC
 

@@ -41,7 +41,7 @@ from incidentgen import (
 from incidentgen import planner, search, simulator
 from incidentgen.planner import _achieves_iter
 from incidentgen.terms import ground, signature
-from conftest import facts
+from conftest import facts, nonground_kbs
 
 NOMINAL = tuple(
     parse_term(t)
@@ -608,35 +608,6 @@ def test_fresh_names_never_capture_a_query_input():
         parse_term("r(_G2)"),
         parse_term("s"),
     )
-
-
-_PRE = ("s", "t", "p(X)", "q(X)", "p(k)", "q(Y)")
-_ADD = ("t", "done", "p(X)", "q(X)", "p(f(X))", "r(X, Y)")
-_DEL = ("s", "p(X)", "p(Y)", "q(Y)")
-_RULES = ("done :- p(Z), q(Z)", "r(Z, W) :- q(Z)", "t :- p(f(Z))")
-_GOALS = ("done", "t", "p(k)", "r(k, k)", "q(f(k))", "r(k, V)")
-
-
-@st.composite
-def nonground_kbs(draw):
-    """Small KBs whose actions leave head variables open, so plans carry
-    _G names, with rules that rename their own variables as well, and
-    delete patterns that may pair with any of several facts."""
-    lines = []
-    for i in range(draw(st.integers(1, 4))):
-        head = draw(st.sampled_from(("X", "X, Y")))
-        pre = draw(st.lists(st.sampled_from(_PRE), max_size=2, unique=True))
-        dels = draw(st.lists(st.sampled_from(_DEL), max_size=2, unique=True))
-        add = draw(st.lists(st.sampled_from(_ADD), min_size=1, max_size=2, unique=True))
-        pre_text = f"pre: {', '.join(pre)}; " if pre else ""
-        del_text = f"del: {', '.join(dels)}; " if dels else ""
-        lines.append(f"action a{i}({head}) {{{pre_text}{del_text}add: {', '.join(add)};}}")
-    for rule in draw(st.lists(st.sampled_from(_RULES), max_size=2, unique=True)):
-        lines.append(f"rule {rule}.")
-    init = ["s", *draw(st.lists(st.sampled_from(("p(k)", "q(m)")), unique=True))]
-    lines.append(f"init {{{'; '.join(init)};}}")
-    lines.append(f"goal {draw(st.sampled_from(_GOALS))}.")
-    return parse_kb("\n".join(lines))
 
 
 def _outcome(query):

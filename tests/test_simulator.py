@@ -1,5 +1,9 @@
 """World simulation: injection, spontaneous happenings, goal revision."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from incidentgen import (
+    Atom,
     IncidentgenError,
     InvalidInjectionError,
     NoPlanFoundError,
@@ -18,6 +24,7 @@ from incidentgen import (
     RngState,
     ScoredPlan,
     SimConfig,
+    Substitution,
     UnknownEventError,
     applicable_happenings,
     apply_event,
@@ -33,9 +40,11 @@ from incidentgen import (
     plan_distance,
     render_story,
     revise_goal,
+    substitute,
+    variables,
 )
 from incidentgen import simulator
-from conftest import facts
+from conftest import facts, nonground_kbs
 
 
 def heads(trace):
@@ -117,6 +126,91 @@ def test_apply_event_rejects_unknown_event(kb):
 def test_apply_event_rejects_unsatisfied_preconditions(kb):
     with pytest.raises(PreconditionViolationError):
         apply_event(parse_term("take_off(airplane1, seattle)"), "action", kb.init, kb)
+
+
+def test_a_steps_bindings_follow_its_definition_in_every_interpreter():
+    # first-occurrence order over the head and the preconditions, whatever
+    # order a set of the same variables would iterate in
+    code = (
+        "import json; from incidentgen import SimConfig, generate_incident, load_aviation\n"
+        "trace = generate_incident(load_aviation(), SimConfig(happening_prob=0))\n"
+        "print(json.dumps([v.name for v in trace.steps[0].bindings]))"
+    )
+    for hashseed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == ["Passengers", "Airplane", "Airport"]
+
+
+# the executed worlds widen nonground_kbs: _G names in heads and
+# preconditions, variables that only a precondition or a delete holds,
+# rules that leave a fresh name in a solution, and happenings
+_STEP_WORLDS = nonground_kbs(
+    heads=("_G7", "X, _G3", "X", "X, Y"),
+    pre=("r(X, W)", "q(Y)", "p(X)", "q(X)", "p(k)", "s", "t", "p(_G2)"),
+    dels=("s", "p(X)", "p(Y)", "q(Y)", "q(V)"),
+    rules=("r(Z, W) :- q(Z)", "q(W) :- t", "done :- p(Z), q(Z)", "t :- p(f(Z))"),
+    kinds=("action", "happening"),
+)
+_HELD = ("q(m)", "t", "p(k)", "p(j)", "q(k)", "s", "p(f(k))", "r(k, m)", "p(_G5)")
+# what each head variable of the executed term becomes; None keeps it
+_VALUES = (None, "_G7", "k", "m", "f(k)", "_G1")
+
+# the planned effects are those of the second application, which differs
+# from the first only in the fact that q(V) pairs with; the rule proving
+# r(X, W) takes its names from _G1, since a0(_G7) binds nothing
+_PINNED_WORLD = parse_kb(
+    "action a0(_G7) {pre: r(X, W), p(Y); del: p(Y), q(V); add: t, r(X, Y);}\n"
+    "rule r(Z, W) :- q(Z).\n"
+    "init {s;}\n"
+    "goal done."
+)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except IncidentgenError as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=300)
+@example(_PINNED_WORLD, frozenset({"q(m)", "q(k)", "p(j)", "p(k)"}), 0, [None, None], True, 1)
+@given(
+    _STEP_WORLDS,
+    st.frozensets(st.sampled_from(_HELD)),
+    st.integers(0, 3),
+    st.lists(st.sampled_from(_VALUES), min_size=2, max_size=2),
+    st.booleans(),
+    st.none() | st.integers(0, 3),
+)
+def test_an_executed_step_matches_the_reference(kb, held, at, values, same_kind, planned_at):
+    event = kb.events[at % len(kb.events)]
+    term = substitute(event.head, Substitution({
+        var: parse_term(value)
+        for var, value in zip(variables(event.head), values)
+        if value is not None
+    }))
+    kind = event.kind if same_kind else {"action": "happening", "happening": "action"}[event.kind]
+    sitn = frozenset(map(parse_term, held))
+    planned = None
+    if planned_at is not None:
+        # the effects of one of the reference's applications, or, past
+        # the last, open ones that match none
+        try:
+            declared, _, _, applied = oracles.step_applications(term, kind, sitn, kb)
+        except UnknownEventError:
+            pass
+        else:
+            chosen = applied[planned_at] if planned_at < len(applied) else {}
+            planned = declared, Substitution(chosen)
+    expected = _outcome(lambda: oracles.execute_step(term, kind, sitn, kb, planned))
+    justification = None if planned is None else PlanStep(term, Atom("goal"), solution=planned)
+    got = _outcome(lambda: apply_event(term, kind, sitn, kb, 0, justification))
+    if not isinstance(got, tuple):
+        got = got.post_situation, list(got.bindings.items())
+    assert got == expected
 
 
 # ------------------------------------------------- injected-incident traces
